@@ -169,18 +169,25 @@ def modality_loss(batch: AlignedBatch, graph: ModalityGraph, tau: Tensor | float
     return total
 
 
-def total_loss(batch: AlignedBatch, graph: ModalityGraph, tau: Tensor | float,
-               alpha: float = 0.5, beta: float = 0.5) -> Tensor:
-    """Weighted total; without text it reduces to the modality term exactly."""
+def loss_terms(batch: AlignedBatch, graph: ModalityGraph, tau: Tensor | float,
+               alpha: float = 0.5, beta: float = 0.5) -> tuple:
+    """(total, L_M, L_text) with total = alpha * L_text + beta * L_M; without
+    text, L_text is None and the total is L_M exactly."""
     if alpha < 0 or beta < 0:
         raise ValueError("loss weights must be non-negative")
     lm = modality_loss(batch, graph, tau)
     if not graph.has_text:
-        return lm
+        return lm, lm, None
     lt = text_loss(batch, graph, tau)
     a = Tensor(np.asarray(alpha, dtype=lm.data.dtype))
     b = Tensor(np.asarray(beta, dtype=lm.data.dtype))
-    return a * lt + b * lm
+    return a * lt + b * lm, lm, lt
+
+
+def total_loss(batch: AlignedBatch, graph: ModalityGraph, tau: Tensor | float,
+               alpha: float = 0.5, beta: float = 0.5) -> Tensor:
+    """Weighted total; without text it reduces to the modality term exactly."""
+    return loss_terms(batch, graph, tau, alpha, beta)[0]
 
 
 def embed_batch(encoders: EncoderSet, graph: ModalityGraph, arrays: dict) -> AlignedBatch:
@@ -240,17 +247,8 @@ def train(loader, graph: ModalityGraph, encoders: EncoderSet,
             for arrays in loader.batches(epoch_seed, cfg.batch_size):
                 opt.zero_grad()
                 try:
-                    batch = embed_batch(encoders, graph, arrays)
-                    tau = temp.value()
-                    lm = modality_loss(batch, graph, tau)
-                    if graph.has_text:
-                        lt = text_loss(batch, graph, tau)
-                        loss = Tensor(np.asarray(cfg.alpha, dtype=lm.data.dtype)) * lt \
-                            + Tensor(np.asarray(cfg.beta, dtype=lm.data.dtype)) * lm
-                        lt_val = lt.item()
-                    else:
-                        loss = lm
-                        lt_val = None
+                    loss, lm, lt = loss_terms(embed_batch(encoders, graph, arrays), graph,
+                                              temp.value(), cfg.alpha, cfg.beta)
                 except FloatingPointError as exc:
                     raise TrainingAbort(f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
                 if not np.isfinite(loss.item()):
@@ -258,13 +256,12 @@ def train(loader, graph: ModalityGraph, encoders: EncoderSet,
                 loss.backward()
                 opt.step()
                 epoch_losses.append(loss.item())
-                if lt_val is not None:
-                    epoch_text.append(lt_val)
                 epoch_mod.append(lm.item())
                 rec = {"epoch": epoch, "step": step, "total": loss.item(),
                        "L_M": lm.item(), "tau": temp.tau()}
-                if lt_val is not None:
-                    rec["L_text"] = lt_val
+                if lt is not None:
+                    epoch_text.append(lt.item())
+                    rec["L_text"] = lt.item()
                 if fh:
                     fh.write(json.dumps(rec) + "\n")
                 step += 1

@@ -29,9 +29,11 @@ from .alignment import (
 from .encoders import EncoderConfig, EncoderSet
 from .evalkit import (
     EmbeddingDatabase,
+    ProtocolError,
     class_retrieval_rate,
     db_retrieve,
     embed_clips,
+    encode_windows,
     format_table,
     matching_benchmark,
     moment_retrieval_benchmark,
@@ -55,7 +57,7 @@ from .motionsynth import (
     splitmix64,
 )
 from .pipeline import AugmentSpec, BatchLoader, WindowSpec, prepare_windows
-from .tensor import NumericsError, finite_diff_grad, precision
+from .tensor import NumericsError, ShapeError, finite_diff_grad, precision
 
 CKPT_MAGIC = b"CKP1"
 CKPT_VERSION = 1
@@ -132,6 +134,8 @@ def load_run_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None and k in known})
     cfg = RunConfig(**values)
+    if cfg.alpha < 0 or cfg.beta < 0:
+        raise ConfigError("loss weights alpha and beta must be non-negative")
     try:
         cfg.graph()
     except VariantError as exc:
@@ -234,16 +238,12 @@ def restore_model(ckpt: Checkpoint):
                                 seed=cfg.seed, vocab=vocab)
     temp = Temperature(cfg.tau_init)
     state = dict(ckpt.params)
-    log_tau = state.pop("temperature.log_tau")
-    own = encoders.params()
-    if set(own) != set(state):
-        raise FormatError(f"checkpoint parameter mismatch: {sorted(set(own) ^ set(state))}")
-    for name, t in own.items():
-        if t.data.shape != state[name].shape:
-            raise FormatError(f"parameter '{name}': checkpoint shape "
-                              f"{state[name].shape} != model {t.data.shape}")
-        t.data = state[name].astype(t.data.dtype)
-    temp.log_tau.data = np.asarray(log_tau, dtype=temp.log_tau.data.dtype)
+    try:
+        temp.log_tau.data = np.array(state.pop("temperature.log_tau"),
+                                     dtype=temp.log_tau.data.dtype)
+        encoders.load_state(state)
+    except (KeyError, ShapeError) as exc:
+        raise FormatError(f"checkpoint parameters do not fit the model: {exc.args[0]}") from exc
     return encoders, temp, graph
 
 
@@ -326,6 +326,12 @@ def _parse_pairs(arg: str, graph) -> list:
     return pairs
 
 
+def _check_modality(modality: str, graph) -> None:
+    if modality not in graph.sensing():
+        raise ConfigError(f"modality '{modality}' not in checkpoint modalities "
+                          f"{graph.sensing()}")
+
+
 def _int_list(arg: str) -> list:
     return [int(x) for x in arg.split(",")]
 
@@ -356,18 +362,19 @@ def cmd_train(args) -> int:
         print("warning: text loss requested but no clip carries text; L_text will be 0",
               file=sys.stderr)
     vocab = build_vocabulary() if graph.has_text else None
-    encoders = EncoderSet.build(cfg.encoder_config(), set(graph.modalities),
-                                seed=cfg.seed, vocab=vocab)
     windows = prepare_windows(clips, WindowSpec(length=cfg.window, stride=cfg.stride),
                               cfg.points, fps_seed=splitmix64(cfg.seed, 11))
-    loader = BatchLoader(windows, augment=AugmentSpec(enabled=cfg.augment),
-                         text_embedder=encoders.text)
     tc = TrainConfig(batch_size=cfg.batch, lr=cfg.lr, epochs=cfg.epochs,
                      alpha=cfg.alpha, beta=cfg.beta, tau_init=cfg.tau_init,
                      seed=cfg.seed)
-    result = train(loader, graph, encoders, tc,
-                   metrics_path=out_dir / "metrics.jsonl",
-                   log=None if args.quiet else print)
+    with precision(np.float32):  # the precision the acceptance suite trains at
+        encoders = EncoderSet.build(cfg.encoder_config(), set(graph.modalities),
+                                    seed=cfg.seed, vocab=vocab)
+        loader = BatchLoader(windows, augment=AugmentSpec(enabled=cfg.augment),
+                             text_embedder=encoders.text)
+        result = train(loader, graph, encoders, tc,
+                       metrics_path=out_dir / "metrics.jsonl",
+                       log=None if args.quiet else print)
     save_checkpoint(out_dir / "model.ckpt", cfg, result.encoders,
                     result.temperature, result.optimizer_state, result.epochs_run)
     print(f"checkpoint written to {out_dir / 'model.ckpt'}")
@@ -377,16 +384,13 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     encoders, _, graph = restore_model(ckpt)
-    if args.modality not in graph.sensing():
-        raise ConfigError(f"modality '{args.modality}' not in checkpoint modalities "
-                          f"{graph.sensing()}")
+    _check_modality(args.modality, graph)
     clips = _load_split(args.data, args.split)
     spec = WindowSpec(length=ckpt.config.window, stride=1)
     dbs = []
     for c in clips:
         ws = prepare_windows([c], spec, ckpt.config.points)
-        from .evalkit import encode_windows
-        Z = encode_windows(encoders.modality(args.modality), ws)
+        Z = encode_windows(encoders.modality(args.modality), args.modality, ws)
         dbs.append(EmbeddingDatabase.from_windows(ws, Z, args.modality))
     save_store(args.out, EmbeddingDatabase.merge(dbs))
     print(f"embedding store written to {args.out}")
@@ -464,6 +468,7 @@ def cmd_har(args) -> int:
         vocab = build_vocabulary() if graph.has_text else None
         encoders = EncoderSet.build(cfg.encoder_config(), set(graph.modalities),
                                     seed=cfg.seed, vocab=vocab)
+    _check_modality(args.modality, graph)
     train_clips = _load_split(args.data, "train")
     test_clips = _load_split(args.data, "test")
     spec = WindowSpec(length=cfg.window, stride=args.stride)
@@ -658,7 +663,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, VariantError) as exc:
+    except (ConfigError, VariantError, ProtocolError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:

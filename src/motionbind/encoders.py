@@ -53,7 +53,7 @@ class Module:
         for k, t in own.items():
             if t.data.shape != state[k].shape:
                 raise ShapeError(f"parameter '{k}': shape {state[k].shape} != {t.data.shape}")
-            t.data = np.asarray(state[k], dtype=t.data.dtype)
+            t.data = np.array(state[k], dtype=t.data.dtype)  # a copy, never a view of `state`
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params().items()}
@@ -301,49 +301,38 @@ class TextEmbedder:
         return self.embed(self.vocab.encode(text))
 
 
-@dataclass
-class EncoderSet:
-    """The trainable encoders for the active sensing modalities."""
+class EncoderSet(Module):
+    """The trainable encoders for the active sensing modalities, as children
+    named by modality, so `params()` and `load_state` cover all of them."""
 
-    cfg: EncoderConfig
-    pointcloud: PointCloudEncoder | None = None
-    imu: ImuEncoder | None = None
-    skeleton: SkeletonEncoder | None = None
-    text: TextEmbedder | None = None
+    def __init__(self, cfg: EncoderConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.pointcloud: PointCloudEncoder | None = None
+        self.imu: ImuEncoder | None = None
+        self.skeleton: SkeletonEncoder | None = None
+        self.text: TextEmbedder | None = None
 
     @staticmethod
     def build(cfg: EncoderConfig, modalities: set[str], seed: int, vocab: Vocabulary | None = None) -> "EncoderSet":
         rng = np.random.default_rng(seed)
-        enc = EncoderSet(cfg=cfg)
+        enc = EncoderSet(cfg)
         # construction order is fixed so a given seed is reproducible
-        if "pointcloud" in modalities:
-            enc.pointcloud = PointCloudEncoder(cfg, rng)
-        if "imu" in modalities:
-            enc.imu = ImuEncoder(cfg, rng)
-        if "skeleton" in modalities:
-            enc.skeleton = SkeletonEncoder(cfg, rng)
+        for name, cls in (("pointcloud", PointCloudEncoder), ("imu", ImuEncoder),
+                          ("skeleton", SkeletonEncoder)):
+            if name in modalities:
+                setattr(enc, name, enc.add_child(name, cls(cfg, rng)))
         if "text" in modalities:
             if vocab is None:
                 raise ValueError("text modality requires a vocabulary")
             enc.text = TextEmbedder(vocab, cfg.e)
         return enc
 
-    def modality(self, name: str):
-        enc = {"pointcloud": self.pointcloud, "imu": self.imu, "skeleton": self.skeleton}.get(name)
-        if enc is None:
+    def modality(self, name: str) -> Module:
+        if name not in self._children:
             raise KeyError(f"no encoder for modality '{name}'")
-        return enc
+        return self._children[name]
 
     def sensing(self) -> dict[str, Module]:
-        out = {}
-        for name in ("pointcloud", "imu", "skeleton"):
-            enc = {"pointcloud": self.pointcloud, "imu": self.imu, "skeleton": self.skeleton}[name]
-            if enc is not None:
-                out[name] = enc
-        return out
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, enc in self.sensing().items():
-            out.update(enc.params(prefix=name + "."))
-        return out
+        """modality -> encoder, in construction order."""
+        return dict(self._children)

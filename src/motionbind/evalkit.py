@@ -26,14 +26,22 @@ def normalize_rows(Z: np.ndarray) -> np.ndarray:
     return Z / norms
 
 
-def encode_windows(encoder, windows: list, batch_size: int = 256) -> np.ndarray:
-    """Embed a window list for one modality -> (W, e) float array."""
-    name = {"PointCloudEncoder": "pointcloud", "ImuEncoder": "imu",
-            "SkeletonEncoder": "skeleton"}[type(encoder).__name__]
+class ProtocolError(ValueError):
+    """An evaluation protocol asks for more windows or sequences than the data holds."""
+
+
+EMBED_BATCH = 256
+
+
+def encode_windows(encoder, modality: str, windows: list, prehead: bool = False) -> np.ndarray:
+    """Embed a window list with one modality's encoder -> (W, e) float array.
+
+    With `prehead` the rows are the encoder's pre-head features (W, hidden).
+    """
     outs = []
-    for i in range(0, len(windows), batch_size):
-        arrays = make_batch(windows[i : i + batch_size])
-        outs.append(encoder(arrays[name]).data)
+    for i in range(0, len(windows), EMBED_BATCH):
+        x = make_batch(windows[i : i + EMBED_BATCH])[modality]
+        outs.append((encoder.features(x) if prehead else encoder(x)).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -56,7 +64,7 @@ def embed_clips(encoders, clips_windows: dict, modalities) -> dict:
             table[cid] = ClipEmbeddings(
                 clip_id=cid,
                 starts=np.array([w.start for w in ws]),
-                Z=encode_windows(enc, ws),
+                Z=encode_windows(enc, mod, ws),
             )
         out[mod] = table
     return out
@@ -124,8 +132,8 @@ def _scene_embeddings(scene: Scene, encoders):
     enc_a, enc_b = encoders.modality(a), encoders.modality(b)
     flat_q = [w for ws in scene.queries for w in ws]
     flat_c = [w for ws in scene.candidates for w in ws]
-    Zq = encode_windows(enc_a, flat_q).reshape(scene.n, scene.nwin, -1)
-    Zc = encode_windows(enc_b, flat_c).reshape(scene.n, scene.nwin, -1)
+    Zq = encode_windows(enc_a, a, flat_q).reshape(scene.n, scene.nwin, -1)
+    Zc = encode_windows(enc_b, b, flat_c).reshape(scene.n, scene.nwin, -1)
     return Zq, Zc
 
 
@@ -155,6 +163,9 @@ def matching_benchmark(index: dict, pairs, n_list, scenes: int = 1000,
         ids = sorted(index[a])
         counts = {cid: len(index[a][cid].starts) for cid in ids}
         usable = [cid for cid in ids if counts[cid] >= nwin]
+        if max(n_list) > len(usable):
+            raise ProtocolError(f"n={max(n_list)} needs {max(n_list)} sequences with >= {nwin} "
+                                f"windows, have {len(usable)}")
         for n in n_list:
             accs = np.empty(scenes)
             for s in range(scenes):
@@ -210,6 +221,10 @@ def moment_retrieval_benchmark(index: dict, pairs, k_list=(1, 10, 20, 50),
             rec = moment_retrieval(ea.Z, ea.starts, eb.Z, eb.starts, k_list, tol)
             for k, v in rec.items():
                 per_seq[k].append(v)
+        if not per_seq[max(k_list)]:
+            longest = max((len(e.starts) for e in index[b].values()), default=0)
+            raise ProtocolError(f"k={max(k_list)} exceeds the window count of every sequence "
+                                f"(longest has {longest})")
         for k in k_list:
             records.append({
                 "task": "moment", "pair": f"{a}->{b}", "k": int(k), "tol": int(tol),

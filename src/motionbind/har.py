@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoders import Linear, Module
+from .evalkit import encode_windows
 from .motionsynth import TRANSITION_CLASS_ID
 from .optim import SGD
 from .pipeline import make_batch
@@ -101,18 +102,16 @@ class HarResult:
     epoch_metrics: list = field(default_factory=list)
 
 
-def _label_index(class_ids: np.ndarray, classes: list) -> np.ndarray:
+def _label_index(windows: list, classes: list) -> np.ndarray:
     lut = {c.id: i for i, c in enumerate(classes)}
-    return np.array([lut[int(c)] for c in class_ids])
+    return np.array([lut[int(w.class_id)] for w in windows])
 
 
 def zero_shot_classify(windows: list, modality: str, encoders, classes: list) -> np.ndarray:
     """Predicted class ids by nearest text embedding in the shared space."""
     if encoders.text is None:
         raise ValueError("zero-shot requires a model trained with the text modality")
-    enc = encoders.modality(modality)
-    arrays = make_batch(windows)
-    Z = enc(arrays[modality]).data
+    Z = encode_windows(encoders.modality(modality), modality, windows)
     Zt = np.stack([encoders.text.embed_text(c.name) for c in classes])
     Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
     Zt = Zt / np.linalg.norm(Zt, axis=1, keepdims=True)
@@ -120,14 +119,36 @@ def zero_shot_classify(windows: list, modality: str, encoders, classes: list) ->
     return np.array([classes[i].id for i in pred])
 
 
-def _window_features(encoder, windows, modality, use_prehead: bool, batch_size=256) -> np.ndarray:
-    outs = []
-    for i in range(0, len(windows), batch_size):
-        arrays = make_batch(windows[i : i + batch_size])
-        x = arrays[modality]
-        z = encoder.features(x) if use_prehead else encoder(x)
-        outs.append(z.data)
-    return np.concatenate(outs)
+def _sgd_epochs(params: dict, batch_loss, n: int, sched: FinetuneSchedule, seed: int,
+                log, tag: str) -> list:
+    """Minibatch SGD under the staged schedule; `batch_loss(idx)` builds the
+    loss of the rows `idx` of a seeded per-epoch permutation of range(n)."""
+    opt = SGD(params, momentum=sched.momentum)
+    rng = np.random.default_rng(seed)
+    metrics = []
+    for epoch in range(sched.epochs):
+        opt.lr = lr_schedule(epoch, sched)
+        order = rng.permutation(n)
+        losses = []
+        for i in range(0, n, sched.batch_size):
+            opt.zero_grad()
+            loss = batch_loss(order[i : i + sched.batch_size])
+            if not np.isfinite(loss.item()):
+                raise RuntimeError(f"non-finite {tag} loss at epoch {epoch}")
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        metrics.append({"epoch": epoch, "loss": float(np.mean(losses)), "lr": opt.lr})
+        if log:
+            log(f"{tag} epoch {epoch}: loss={np.mean(losses):.4f} lr={opt.lr:g}")
+    return metrics
+
+
+def _accuracy(head: ClassifierHead, X: np.ndarray, windows: list, classes: list) -> float:
+    """Segment accuracy of the head's argmax class on feature rows X."""
+    pred_idx = np.argmax(head(Tensor(X.astype(np.float64))).data, axis=1)
+    pred = np.array([classes[i].id for i in pred_idx])
+    return segment_accuracy(pred, np.array([w.class_id for w in windows]))
 
 
 def probe_train(encoder, modality: str, head: ClassifierHead,
@@ -137,40 +158,20 @@ def probe_train(encoder, modality: str, head: ClassifierHead,
     """Train only the head on frozen encoder features (encoder verified unchanged)."""
     sched = sched or FinetuneSchedule()
     digest_before = params_digest(encoder)
-    Xtr = _window_features(encoder, train_windows, modality, use_prehead)
-    Xte = _window_features(encoder, test_windows, modality, use_prehead)
-    ytr = _label_index(np.array([w.class_id for w in train_windows]), classes)
-    yte = np.array([w.class_id for w in test_windows])
+    Xtr = encode_windows(encoder, modality, train_windows, use_prehead)
+    Xte = encode_windows(encoder, modality, test_windows, use_prehead)
+    ytr = _label_index(train_windows, classes)
 
-    opt = SGD(head.params(), momentum=sched.momentum)
-    rng = np.random.default_rng(seed)
-    metrics = []
-    for epoch in range(sched.epochs):
-        opt.lr = lr_schedule(epoch, sched)
-        order = rng.permutation(len(Xtr))
-        losses = []
-        for i in range(0, len(order), sched.batch_size):
-            idx = order[i : i + sched.batch_size]
-            opt.zero_grad()
-            loss = cross_entropy(head(Tensor(Xtr[idx].astype(np.float64))), ytr[idx])
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-        metrics.append({"epoch": epoch, "loss": float(np.mean(losses)), "lr": opt.lr})
-        if log:
-            log(f"probe epoch {epoch}: loss={np.mean(losses):.4f} lr={opt.lr:g}")
+    def batch_loss(idx):
+        return cross_entropy(head(Tensor(Xtr[idx].astype(np.float64))), ytr[idx])
+
+    metrics = _sgd_epochs(head.params(), batch_loss, len(Xtr), sched, seed, log, "probe")
     if params_digest(encoder) != digest_before:
         raise AssertionError("probing modified frozen encoder parameters")
-
-    def acc(X, y_ids):
-        pred_idx = np.argmax(head(Tensor(X.astype(np.float64))).data, axis=1)
-        pred = np.array([classes[i].id for i in pred_idx])
-        return segment_accuracy(pred, y_ids)
-
     return HarResult(
         head=head,
-        train_accuracy=acc(Xtr, np.array([w.class_id for w in train_windows])),
-        test_accuracy=acc(Xte, yte),
+        train_accuracy=_accuracy(head, Xtr, train_windows, classes),
+        test_accuracy=_accuracy(head, Xte, test_windows, classes),
         epoch_metrics=metrics,
     )
 
@@ -183,39 +184,22 @@ def finetune(encoder, modality: str, head: ClassifierHead,
     sched = sched or FinetuneSchedule()
     params = dict(head.params())
     params.update({f"encoder.{k}": v for k, v in encoder.params().items()})
-    opt = SGD(params, momentum=sched.momentum)
-    rng = np.random.default_rng(seed)
-    ytr = _label_index(np.array([w.class_id for w in train_windows]), classes)
-    metrics = []
-    for epoch in range(sched.epochs):
-        opt.lr = lr_schedule(epoch, sched)
-        order = rng.permutation(len(train_windows))
-        losses = []
-        for i in range(0, len(order), sched.batch_size):
-            idx = order[i : i + sched.batch_size]
-            arrays = make_batch([train_windows[j] for j in idx])
-            opt.zero_grad()
-            feats = encoder.features(arrays[modality]) if use_prehead else encoder(arrays[modality])
-            loss = cross_entropy(head(feats), ytr[idx])
-            if not np.isfinite(loss.item()):
-                raise RuntimeError(f"non-finite fine-tuning loss at epoch {epoch}")
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-        metrics.append({"epoch": epoch, "loss": float(np.mean(losses)), "lr": opt.lr})
-        if log:
-            log(f"finetune epoch {epoch}: loss={np.mean(losses):.4f} lr={opt.lr:g}")
+    ytr = _label_index(train_windows, classes)
 
-    def predict(windows):
-        feats = _window_features(encoder, windows, modality, use_prehead)
-        pred_idx = np.argmax(head(Tensor(feats.astype(np.float64))).data, axis=1)
-        return np.array([classes[i].id for i in pred_idx])
+    def batch_loss(idx):
+        x = make_batch([train_windows[j] for j in idx])[modality]
+        feats = encoder.features(x) if use_prehead else encoder(x)
+        return cross_entropy(head(feats), ytr[idx])
+
+    metrics = _sgd_epochs(params, batch_loss, len(train_windows), sched, seed, log, "finetune")
+
+    def accuracy(windows):
+        X = encode_windows(encoder, modality, windows, use_prehead)
+        return _accuracy(head, X, windows, classes)
 
     return HarResult(
         head=head,
-        train_accuracy=segment_accuracy(predict(train_windows),
-                                        np.array([w.class_id for w in train_windows])),
-        test_accuracy=segment_accuracy(predict(test_windows),
-                                       np.array([w.class_id for w in test_windows])),
+        train_accuracy=accuracy(train_windows),
+        test_accuracy=accuracy(test_windows),
         epoch_metrics=metrics,
     )

@@ -144,11 +144,30 @@ def test_restore_rejects_shape_mismatch(tmp_path):
     enc, temp = build_tiny_model(cfg)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, enc, temp, {"t": 0, "m": {}, "v": {}}, epoch=0)
+    name = next(k for k in load_checkpoint(path).params if k != "temperature.log_tau")
+
+    def reshaped(params):
+        params[name] = np.zeros((2, 2))
+
+    def missing(params):
+        del params[name]
+
+    def extra(params):
+        params["imu.head.fc3.W"] = np.zeros((2, 2))
+
+    for corrupt in (reshaped, missing, extra):
+        ckpt = load_checkpoint(path)
+        corrupt(ckpt.params)
+        with pytest.raises(FormatError):
+            restore_model(ckpt)
+
+    # restored parameters are copies: several models may be restored from
+    # one checkpoint and trained apart
     ckpt = load_checkpoint(path)
-    name = next(k for k in ckpt.params if k != "temperature.log_tau")
-    ckpt.params[name] = np.zeros((2, 2))
-    with pytest.raises(FormatError):
-        restore_model(ckpt)
+    enc2, temp2, _ = restore_model(ckpt)
+    for k, v in enc2.params().items():
+        assert not np.shares_memory(v.data, ckpt.params[k])
+    assert not np.shares_memory(temp2.log_tau.data, ckpt.params["temperature.log_tau"])
 
 
 # -- embedding store -----------------------------------------------------------
@@ -203,6 +222,8 @@ def test_train_writes_artifacts(trained):
     assert (trained / "metrics.jsonl").exists()
     resolved = json.loads((trained / "config.resolved.json").read_text())
     assert resolved["variant"] == "DeSIE"
+    params = load_checkpoint(trained / "model.ckpt").params
+    assert {p.dtype.str for p in params.values()} == {"<f4"}
 
 
 def test_metrics_without_text_lack_ltext_column(trained):
@@ -223,11 +244,24 @@ def test_embed_and_retrieve_round_trip(dataset, trained, tmp_path):
     assert res.indices[0] == 3
 
 
-def test_embed_rejects_missing_modality(dataset, trained, tmp_path):
-    rc = main(["embed", "--checkpoint", str(trained / "model.ckpt"),
-               "--data", str(dataset), "--modality", "pointcloud",
-               "--out", str(tmp_path / "x.emb")])
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("embed", ["--modality", "pointcloud", "--out", "x.emb"], id="embed-modality"),
+    pytest.param("har", ["--mode", "probe", "--modality", "pointcloud", "--out", "h.jsonl"],
+                 id="har-modality"),
+    pytest.param("match", ["--n", "64", "--scenes", "2", "--out", "m.jsonl"], id="match-n"),
+    pytest.param("moment", ["--out", "mo.jsonl"], id="moment-default-k"),
+])
+def test_config_mistake_exits_2(command, flags, dataset, trained, tmp_path, capsys, monkeypatch):
+    """DeSIE has no point cloud; the test split has 8 clips of 25 windows,
+    fewer than `--n 64` and than the default `--k` maximum of 50."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(trained / "model.ckpt"),
+               "--data", str(dataset), *flags])
+    err = capsys.readouterr().err
     assert rc == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # no partial or NaN record written
 
 
 def test_match_subcommand_writes_records(dataset, trained, tmp_path):

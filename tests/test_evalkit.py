@@ -7,9 +7,11 @@ from motionbind.evalkit import (
     EmbeddingDatabase,
     RetrievalResult,
     Scene,
+    EMBED_BATCH,
     build_scene,
     class_retrieval_rate,
     db_retrieve,
+    encode_windows,
     format_table,
     match_consecutive,
     match_embeddings,
@@ -20,7 +22,8 @@ from motionbind.evalkit import (
     write_records,
 )
 from motionbind.motionsynth import DEFAULT_CLASSES, make_clip
-from motionbind.pipeline import WindowSpec, prepare_windows
+from motionbind.pipeline import WindowSpec, make_batch, prepare_windows
+from motionbind.tensor import precision
 
 
 def dense_windows(n_clips=6, length=40, n_raw=64, n_points=16):
@@ -99,6 +102,23 @@ def test_match_shuffle_candidates_consistent():
     acc = match_embeddings(Zq, Zc)
     base_correct = pred == np.arange(5)
     assert acc == base_correct.mean()
+
+
+def test_encode_windows_matches_per_window_calls_across_batches():
+    from motionbind.encoders import EncoderConfig
+    cfg = EncoderConfig(e=16, points=16, window=None, point_mlp=(8, 12),
+                        hidden=12, skeleton_mlp=16)
+    clips = [make_clip(DEFAULT_CLASSES[i], clip_id=i, subject_id=i, seed=5, length=36,
+                       n_raw=64, tm=False) for i in range(8)]
+    windows = prepare_windows(clips, WindowSpec(length=4, stride=1), 16)[:EMBED_BATCH + 4]
+    with precision(np.float32):
+        enc = EncoderSet.build(cfg, {"pointcloud", "imu", "skeleton"}, seed=2)
+        for mod, encoder in enc.sensing().items():
+            for prehead, forward in ((False, encoder), (True, encoder.features)):
+                Z = encode_windows(encoder, mod, windows, prehead=prehead)
+                rows = [forward(make_batch([w])[mod]).data[0] for w in windows]
+                assert Z.shape == (len(windows), 12 if prehead else 16)
+                np.testing.assert_allclose(Z, np.stack(rows), rtol=1e-5, atol=1e-6)
 
 
 def test_match_scene_with_encoders_and_nwin_reduction():
