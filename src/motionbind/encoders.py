@@ -6,6 +6,13 @@ over time, IMU uses a 2-layer LSTM, skeletons a frame-flattening MLP plus
 GRU. Text is embedded by a frozen seeded lookup-and-project embedder that
 never receives gradients. All trainable encoders end in a SimCLR-style
 2-layer projection head.
+
+The point MLP with its max-pool, the GRU and each LSTM layer are single
+tape ops with hand-written backward passes (`pointnet_frames`, `gru`,
+`lstm_layer`): the point stage runs in blocks of frames, and each
+recurrence computes its input projection for all timesteps in one GEMM
+before the time loop. So a forward call, training or inference, records a
+handful of tape nodes per encoder, whatever the window length.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, get_default_dtype, sigmoid_array
 
 NUM_JOINTS = 24
 
@@ -79,7 +86,6 @@ class GRU(Module):
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()
-        self.hidden = hidden
         fi = in_dim + hidden
         self.Wg = self.add_param("Wg", _init(rng, fi, (in_dim, 2 * hidden)))
         self.Ug = self.add_param("Ug", _init(rng, fi, (hidden, 2 * hidden)))
@@ -88,19 +94,9 @@ class GRU(Module):
         self.Un = self.add_param("Un", _init(rng, fi, (hidden, hidden)))
         self.bn = self.add_param("bn", np.zeros(hidden))
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        gates = (x @ self.Wg + h @ self.Ug + self.bg).sigmoid()
-        z = gates[:, : self.hidden]
-        r = gates[:, self.hidden :]
-        n = (x @ self.Wn + (r * h) @ self.Un + self.bn).tanh()
-        one = Tensor(np.asarray(1.0, dtype=z.data.dtype))
-        return (one - z) * h + z * n
-
-    def __call__(self, xs: list[Tensor], batch: int) -> Tensor:
-        h = Tensor(np.zeros((batch, self.hidden)))
-        for x in xs:
-            h = self.step(x, h)
-        return h
+    def __call__(self, xs: Tensor) -> Tensor:
+        """Final hidden state (B, hidden) of the sequence xs (B, T, in)."""
+        return gru(xs, self.Wg, self.Ug, self.bg, self.Wn, self.Un, self.bn)
 
 
 class LSTM(Module):
@@ -108,7 +104,6 @@ class LSTM(Module):
 
     def __init__(self, rng, in_dim: int, hidden: int, layers: int = 2):
         super().__init__()
-        self.hidden = hidden
         self.layers = layers
         for i in range(layers):
             d = in_dim if i == 0 else hidden
@@ -117,26 +112,181 @@ class LSTM(Module):
             self.add_param(f"Wh{i}", _init(rng, fi, (hidden, 4 * hidden)))
             self.add_param(f"b{i}", np.zeros(4 * hidden))
 
-    def __call__(self, xs: list[Tensor], batch: int) -> Tensor:
-        H = self.hidden
-        seq = xs
-        h = None
+    def __call__(self, xs: Tensor) -> Tensor:
+        """Top layer's final hidden state (B, hidden) of xs (B, T, in)."""
+        seq, p = xs, self._params
         for i in range(self.layers):
-            Wx, Wh, b = self._params[f"Wx{i}"], self._params[f"Wh{i}"], self._params[f"b{i}"]
-            h = Tensor(np.zeros((batch, H)))
-            c = Tensor(np.zeros((batch, H)))
-            outs = []
-            for x in seq:
-                gates = x @ Wx + h @ Wh + b
-                ig = gates[:, :H].sigmoid()
-                fg = gates[:, H : 2 * H].sigmoid()
-                gg = gates[:, 2 * H : 3 * H].tanh()
-                og = gates[:, 3 * H :].sigmoid()
-                c = fg * c + ig * gg
-                h = og * c.tanh()
-                outs.append(h)
-            seq = outs
-        return h
+            seq = lstm_layer(seq, p[f"Wx{i}"], p[f"Wh{i}"], p[f"b{i}"])
+        return seq[:, -1, :]
+
+
+# -- fused ops -------------------------------------------------------------------
+#
+# Each op below is one tape node with a hand-written backward: the composed
+# per-point and per-timestep graphs they replace cost tens of nodes per frame
+# or step.  Outputs equal those compositions; the float64 finite-difference
+# tests in tests/test_encoders.py check the backward passes.
+
+FRAME_BLOCK = 32   # frames per block in pointnet_frames; bounds its (block*N, C) scratch
+
+
+def _first_argmax(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Lowest index along axis 1 of (F, N, C) `a` where it equals its max `m` (F, C).
+
+    Reduces over a weight that falls with the index, which is cheaper than
+    `argmax` along a strided axis.
+    """
+    n = a.shape[1]
+    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    return n - np.max((a == m[:, None]) * weight, axis=1)
+
+
+def pointnet_frames(pts: np.ndarray, fc1: Linear, fc2: Linear) -> Tensor:
+    """Per-frame PointNet features: max_n relu(fc2(relu(fc1(p_n)))) -> (F, C).
+
+    `pts` (F, N, 3) is data, not a tape node.  Frames run in blocks of
+    FRAME_BLOCK.  The max is taken before fc2's bias and the ReLU, which are
+    monotone, so it is exact; only the first argmax of each (frame, channel)
+    is kept, so the gradient goes to the lowest-index point on ties.  Only
+    those argmax points get a gradient; the backward recomputes the first
+    layer at them, block by block.
+    """
+    W1, b1, W2, b2 = fc1.W, fc1.b, fc2.W, fc2.b
+    F, N, _ = pts.shape
+    C = W2.shape[1]
+    m = np.empty((F, C), dtype=np.result_type(pts, W1.data, W2.data))
+    idx = np.empty((F, C), dtype=np.intp)
+    blocks = [slice(s, s + FRAME_BLOCK) for s in range(0, F, FRAME_BLOCK)]
+
+    for blk in blocks:
+        h1 = np.maximum(pts[blk].reshape(-1, 3) @ W1.data + b1.data, 0)
+        a2 = (h1 @ W2.data).reshape(-1, N, C)
+        m[blk] = a2.max(axis=1)
+        idx[blk] = _first_argmax(a2, m[blk])
+    out = np.maximum(m + b2.data, 0)
+
+    def bw(g):
+        g = g * (out > 0)
+        gW1, gb1, gW2 = np.zeros_like(W1.data), np.zeros_like(b1.data), np.zeros_like(W2.data)
+        for blk in blocks:
+            i = idx[blk]
+            hit = np.zeros((len(i), N), dtype=bool)   # points that are some channel's argmax
+            np.put_along_axis(hit, i, True, axis=1)
+            rows = np.flatnonzero(hit)
+            row_of = (np.cumsum(hit) - 1).reshape(hit.shape)   # (frame, point) -> index in rows
+            ga2 = np.zeros((len(rows), C), dtype=g.dtype)
+            ga2[np.take_along_axis(row_of, i, axis=1), np.arange(C)] = g[blk]
+            x = pts[blk].reshape(-1, 3)[rows]
+            a1 = x @ W1.data + b1.data
+            gW2 += np.maximum(a1, 0).T @ ga2
+            ga1 = (ga2 @ W2.data.T) * (a1 > 0)
+            gW1 += x.T @ ga1
+            gb1 += ga1.sum(axis=0)
+        return gW1, gb1, gW2, g.sum(axis=0)
+
+    return Tensor.from_op(out, (W1, b1, W2, b2), bw, "pointnet_frames")
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(B, T, D) -> (B*T, D)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def gru(xs: Tensor, Wg: Tensor, Ug: Tensor, bg: Tensor,
+        Wn: Tensor, Un: Tensor, bn: Tensor) -> Tensor:
+    """GRU over xs (B, T, D) from a zero state -> final hidden state (B, H).
+
+    Per step: [z, r] = sigmoid(x Wg + h Ug + bg),
+    n = tanh(x Wn + (r h) Un + bn), h' = (1 - z) h + z n.
+    Both input projections run as one (B*T, D) GEMM each before the loop.
+    """
+    X, X2 = xs.data, _flat(xs.data)
+    B, T, _ = X.shape
+    H = Un.shape[0]
+    XG = (X2 @ Wg.data).reshape(B, T, 2 * H)
+    XN = (X2 @ Wn.data).reshape(B, T, H)
+    h = np.zeros((B, H), dtype=XG.dtype)
+    Hp = np.empty((B, T, H), dtype=h.dtype)      # the state each step starts from
+    G = np.empty((B, T, 2 * H), dtype=h.dtype)   # [z, r]
+    RH = np.empty_like(Hp)                       # r h
+    Nn = np.empty_like(Hp)                       # n
+    for t in range(T):
+        Hp[:, t] = h
+        G[:, t] = sigmoid_array(XG[:, t] + h @ Ug.data + bg.data)
+        z, r = G[:, t, :H], G[:, t, H:]
+        RH[:, t] = r * h
+        Nn[:, t] = np.tanh(XN[:, t] + RH[:, t] @ Un.data + bn.data)
+        h = (1.0 - z) * h + z * Nn[:, t]
+
+    def bw(gh):
+        dG = np.empty_like(G)    # gradient at the gates' pre-activations
+        dN = np.empty_like(Nn)   # gradient at n's pre-activation
+        dh = gh
+        for t in reversed(range(T)):
+            z, r, n, hp = G[:, t, :H], G[:, t, H:], Nn[:, t], Hp[:, t]
+            dN[:, t] = dh * z * (1.0 - n * n)
+            drh = dN[:, t] @ Un.data.T
+            dG[:, t, :H] = dh * (n - hp)
+            dG[:, t, H:] = drh * hp
+            dG[:, t] *= G[:, t] * (1.0 - G[:, t])
+            dh = dh * (1.0 - z) + drh * r + dG[:, t] @ Ug.data.T
+        dG2, dN2 = _flat(dG), _flat(dN)
+        dX = (dG2 @ Wg.data.T + dN2 @ Wn.data.T).reshape(X.shape) if xs.requires_grad else None
+        return (dX, X2.T @ dG2, _flat(Hp).T @ dG2, dG2.sum(axis=0),
+                X2.T @ dN2, _flat(RH).T @ dN2, dN2.sum(axis=0))
+
+    return Tensor.from_op(h, (xs, Wg, Ug, bg, Wn, Un, bn), bw, "gru")
+
+
+def lstm_layer(xs: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over xs (B, T, D) from zero states -> hidden states (B, T, H).
+
+    Gates [i, f, g, o] = act(x Wx + h Wh + b) with sigmoid for i, f, o and
+    tanh for g; c' = f c + i g, h' = o tanh(c').  The input projection runs
+    as one (B*T, D) GEMM before the loop.
+    """
+    X, X2 = xs.data, _flat(xs.data)
+    B, T, _ = X.shape
+    H = Wh.shape[0]
+    XW = (X2 @ Wx.data).reshape(B, T, 4 * H)
+    h = np.zeros((B, H), dtype=XW.dtype)
+    c = np.zeros_like(h)
+    Hs = np.empty((B, T, H), dtype=h.dtype)
+    A = np.empty((B, T, 4 * H), dtype=h.dtype)   # gate activations
+    Cp = np.empty_like(Hs)                       # the cell state each step starts from
+    TC = np.empty_like(Hs)                       # tanh(c')
+    for t in range(T):
+        pre = XW[:, t] + h @ Wh.data + b.data
+        a = A[:, t]
+        a[:] = sigmoid_array(pre)
+        a[:, 2 * H : 3 * H] = np.tanh(pre[:, 2 * H : 3 * H])
+        Cp[:, t] = c
+        c = a[:, H : 2 * H] * c + a[:, :H] * a[:, 2 * H : 3 * H]
+        TC[:, t] = np.tanh(c)
+        h = Hs[:, t] = a[:, 3 * H :] * TC[:, t]
+
+    def bw(gH):
+        dA = np.empty_like(A)    # gradient at the gates' pre-activations
+        dh = np.zeros_like(h)
+        dc = np.zeros_like(c)
+        for t in reversed(range(T)):
+            a, tc = A[:, t], TC[:, t]
+            i, f, g, o = (a[:, k * H : (k + 1) * H] for k in range(4))
+            dh = dh + gH[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = dA[:, t]
+            d[:, :H] = dc * g * i * (1.0 - i)
+            d[:, H : 2 * H] = dc * Cp[:, t] * f * (1.0 - f)
+            d[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+            d[:, 3 * H :] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            dh = d @ Wh.data.T
+        dA2 = _flat(dA)
+        Hp = np.concatenate([np.zeros_like(Hs[:, :1]), Hs[:, :-1]], axis=1)
+        dX = (dA2 @ Wx.data.T).reshape(X.shape) if xs.requires_grad else None
+        return dX, X2.T @ dA2, _flat(Hp).T @ dA2, dA2.sum(axis=0)
+
+    return Tensor.from_op(Hs, (xs, Wx, Wh, b), bw, "lstm_layer")
 
 
 class ProjectionHead(Module):
@@ -186,11 +336,9 @@ class PointCloudEncoder(Module):
             raise ShapeError(f"expected {self.cfg.window}-frame windows, got T={T}")
         if N != self.cfg.points:
             raise ShapeError(f"expected {self.cfg.points} points per frame, got N={N}")
-        pts = Tensor(x.reshape(B * T * N, 3))
-        feat = self.fc2(self.fc1(pts).relu()).relu()
-        per_frame = feat.reshape(B, T, N, -1).max(axis=2)  # symmetric over points
-        frames = [per_frame[:, t, :] for t in range(T)]
-        return self.gru(frames, B)
+        pts = np.asarray(x, dtype=get_default_dtype()).reshape(B * T, N, 3)
+        per_frame = pointnet_frames(pts, self.fc1, self.fc2)  # symmetric over points
+        return self.gru(per_frame.reshape(B, T, -1))
 
     def __call__(self, windows: np.ndarray) -> Tensor:
         return self.head(self.features(windows))
@@ -209,11 +357,9 @@ class ImuEncoder(Module):
         x = np.asarray(windows)
         if x.ndim != 3:
             raise ShapeError(f"IMU windows must be (B, T, C), got {x.shape}")
-        B, T, C = x.shape
-        if C != self.cfg.imu_channels:
-            raise ShapeError(f"expected {self.cfg.imu_channels} IMU channels, got C={C}")
-        xs = [Tensor(x[:, t, :]) for t in range(T)]
-        return self.lstm(xs, B)
+        if x.shape[2] != self.cfg.imu_channels:
+            raise ShapeError(f"expected {self.cfg.imu_channels} IMU channels, got C={x.shape[2]}")
+        return self.lstm(Tensor(x))
 
     def __call__(self, windows: np.ndarray) -> Tensor:
         return self.head(self.features(windows))
@@ -235,8 +381,7 @@ class SkeletonEncoder(Module):
             raise ShapeError(f"skeleton windows must be (B, T, {NUM_JOINTS}, 3), got {x.shape}")
         B, T = x.shape[:2]
         flat = Tensor(x.reshape(B * T, NUM_JOINTS * 3))
-        frames = self.fc(flat).relu().reshape(B, T, -1)
-        return self.gru([frames[:, t, :] for t in range(T)], B)
+        return self.gru(self.fc(flat).relu().reshape(B, T, -1))
 
     def __call__(self, windows: np.ndarray) -> Tensor:
         return self.head(self.features(windows))

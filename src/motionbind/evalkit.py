@@ -55,18 +55,20 @@ class ClipEmbeddings:
 
 
 def embed_clips(encoders, clips_windows: dict, modalities) -> dict:
-    """modality -> {clip_id -> ClipEmbeddings} over dense window lists."""
+    """modality -> {clip_id -> ClipEmbeddings} over dense window lists.
+
+    One `encode_windows` call per modality covers every clip's windows, so
+    short clips share batches; its rows are then split back by clip.
+    """
+    flat = [w for ws in clips_windows.values() for w in ws]
+    bounds = np.cumsum([len(ws) for ws in clips_windows.values()])[:-1]
     out: dict = {}
     for mod in modalities:
-        enc = encoders.modality(mod)
-        table = {}
-        for cid, ws in clips_windows.items():
-            table[cid] = ClipEmbeddings(
-                clip_id=cid,
-                starts=np.array([w.start for w in ws]),
-                Z=encode_windows(enc, mod, ws),
-            )
-        out[mod] = table
+        Z = encode_windows(encoders.modality(mod), mod, flat)
+        out[mod] = {
+            cid: ClipEmbeddings(clip_id=cid, starts=np.array([w.start for w in ws]), Z=z)
+            for (cid, ws), z in zip(clips_windows.items(), np.split(Z, bounds))
+        }
     return out
 
 
@@ -294,15 +296,16 @@ def db_retrieve(query: np.ndarray, db: EmbeddingDatabase, k: int) -> RetrievalRe
     return RetrievalResult(indices=order, scores=sims[order], truncated=truncated, metadata=meta)
 
 
+def majority_same_class(labels: np.ndarray, cls) -> bool:
+    """Whether more than half of the retrieved labels equal the query's class."""
+    return bool((labels == cls).sum() * 2 > len(labels))
+
+
 def class_retrieval_rate(queries: np.ndarray, query_classes: np.ndarray,
                          db: EmbeddingDatabase, k: int = 10) -> float:
     """Fraction of queries whose top-k retrievals are majority same-class."""
-    hits = 0
-    for q, cls in zip(queries, query_classes):
-        res = db_retrieve(q, db, k)
-        labels = db.class_ids[res.indices]
-        if (labels == cls).sum() * 2 > len(labels):
-            hits += 1
+    hits = sum(majority_same_class(db.class_ids[db_retrieve(q, db, k).indices], cls)
+               for q, cls in zip(queries, query_classes))
     return hits / len(queries)
 
 

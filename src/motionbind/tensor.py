@@ -1,10 +1,10 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Backed by numpy arrays. Two precision modes: float64 for gradient-check /
-test runs, float32 for training (finite-difference validation is unreliable
-at 32-bit). Broadcasting is restricted to leading-dimension expansion
-(scalar or trailing-aligned shapes); anything else is a shape error, which
-keeps the backward rules auditable.
+test runs, float32 for training and evaluation (finite-difference validation
+is unreliable at 32-bit). Broadcasting is restricted to leading-dimension
+expansion (scalar or trailing-aligned shapes); anything else is a shape error,
+which keeps the backward rules auditable.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "precision",
     "concat",
     "finite_diff_grad",
+    "sigmoid_array",
 ]
 
 
@@ -64,6 +65,11 @@ def _check_nan(out: np.ndarray, op: str) -> np.ndarray:
     if np.isnan(out).any():
         raise NumericsError(f"NaN produced in forward pass by op '{op}'")
     return out
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, clipped so exp never overflows."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
 def _leading_broadcast_axes(small: tuple, big: tuple):
@@ -275,7 +281,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+        out_data = sigmoid_array(a.data)
         return Tensor.from_op(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),), "sigmoid")
 
     def relu(self):
@@ -402,13 +408,31 @@ class Tensor:
 
     def __getitem__(self, key):
         a = self
+        repeats = _may_repeat(key)
 
         def bw(g):
             ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
+            if repeats:
+                np.add.at(ga, key, g)   # an integer-array key may name an element twice
+            else:
+                ga[key] = g
             return (ga,)
 
         return Tensor.from_op(a.data[key], (a,), bw, "slice")
+
+
+def _may_repeat(key) -> bool:
+    """Whether an index key can select one element more than once.
+
+    Basic keys (ints, slices, None, Ellipsis) and boolean masks cannot;
+    integer arrays and lists can.
+    """
+    for k in key if isinstance(key, tuple) else (key,):
+        if k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)):
+            continue
+        if np.asarray(k).dtype != bool:
+            return True
+    return False
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -21,7 +21,7 @@ from motionbind.cli import (
     save_store,
 )
 from motionbind.encoders import EncoderSet
-from motionbind.evalkit import EmbeddingDatabase, db_retrieve
+from motionbind.evalkit import EmbeddingDatabase, class_retrieval_rate, db_retrieve
 
 
 def tiny_cfg(**kw):
@@ -242,6 +242,44 @@ def test_embed_and_retrieve_round_trip(dataset, trained, tmp_path):
     assert len(db.Z) == 8 * 25  # 8 test clips, stride-1 windows of 48 frames
     res = db_retrieve(db.Z[3], db, k=5)
     assert res.indices[0] == 3
+
+
+def test_retrieve_prints_class_retrieval_rate(dataset, trained, tmp_path, capsys):
+    store = tmp_path / "imu.emb"
+    assert main(["embed", "--checkpoint", str(trained / "model.ckpt"),
+                 "--data", str(dataset), "--modality", "imu", "--out", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["retrieve", "--store", str(store), "--query-store", str(store),
+                 "--k", "5", "--out", str(tmp_path / "r.jsonl")]) == 0
+    printed = capsys.readouterr().out.strip().rsplit(" ", 1)[1]
+    db = load_store(store)
+    assert printed == f"{class_retrieval_rate(db.Z, db.class_ids, db, k=5):.4f}"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("embed", ["--modality", "imu", "--out", "x.emb"]),
+    ("match", ["--n", "2", "--scenes", "2", "--out", "m.jsonl"]),
+    ("moment", ["--k", "1", "--out", "mo.jsonl"]),
+    ("har", ["--mode", "probe", "--modality", "imu", "--epochs", "1", "--quiet"]),
+    ("text-retrieve", ["--store", "x.emb", "--out", "t.jsonl"]),
+])
+def test_evaluation_runs_at_float32(command, flags, dataset, trained, tmp_path, monkeypatch):
+    """Evaluation restores the float32 checkpoint at float32, as train wrote it."""
+    from motionbind import cli
+
+    dtypes = set()
+
+    def restore(ckpt):
+        model = restore_model(ckpt)
+        dtypes.update(str(p.data.dtype) for p in model[0].params().values())
+        dtypes.add(str(model[1].log_tau.data.dtype))
+        return model
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "restore_model", restore)
+    data = [] if command == "text-retrieve" else ["--data", str(dataset)]
+    main([command, "--checkpoint", str(trained / "model.ckpt"), *data, *flags])
+    assert dtypes == {"float32"}
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -11,6 +11,7 @@ from motionbind.evalkit import (
     build_scene,
     class_retrieval_rate,
     db_retrieve,
+    embed_clips,
     encode_windows,
     format_table,
     match_consecutive,
@@ -119,6 +120,38 @@ def test_encode_windows_matches_per_window_calls_across_batches():
                 rows = [forward(make_batch([w])[mod]).data[0] for w in windows]
                 assert Z.shape == (len(windows), 12 if prehead else 16)
                 np.testing.assert_allclose(Z, np.stack(rows), rtol=1e-5, atol=1e-6)
+
+
+def test_embed_clips_batches_across_clips(monkeypatch):
+    """One encode_windows call per modality covers all 6 clips of 17 windows,
+    in batches of 64 that cross clip boundaries; rows match per-clip calls."""
+    from motionbind import evalkit
+    from motionbind.encoders import EncoderConfig
+    cfg = EncoderConfig(e=16, points=16, window=None, point_mlp=(8, 12),
+                        hidden=12, skeleton_mlp=16)
+    cw = dense_windows()
+    mods = ("pointcloud", "imu", "skeleton")
+    monkeypatch.setattr(evalkit, "EMBED_BATCH", 64)
+    calls = []
+
+    def counting(encoder, modality, windows, prehead=False):
+        calls.append(len(windows))
+        return encode_windows(encoder, modality, windows, prehead)
+
+    with precision(np.float32):
+        enc = EncoderSet.build(cfg, set(mods), seed=4)
+        monkeypatch.setattr(evalkit, "encode_windows", counting)
+        a = embed_clips(enc, cw, mods)
+        b = embed_clips(enc, cw, mods)
+        assert calls == [sum(len(ws) for ws in cw.values())] * (2 * len(mods))
+        for mod in mods:
+            assert list(a[mod]) == list(cw)
+            for cid, ws in cw.items():
+                e = a[mod][cid]
+                assert np.array_equal(e.starts, [w.start for w in ws])
+                assert e.Z.tobytes() == b[mod][cid].Z.tobytes()
+                np.testing.assert_allclose(e.Z, encode_windows(enc.modality(mod), mod, ws),
+                                           rtol=1e-5, atol=1e-6)
 
 
 def test_match_scene_with_encoders_and_nwin_reduction():

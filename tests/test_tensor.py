@@ -74,6 +74,23 @@ def test_max_ties_route_to_lowest_index():
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
 
+def test_slice_repeated_integer_index_accumulates():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    x[np.array([1, 1, 3])].sum().backward()
+    assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 1.0])
+
+
+def test_slice_boolean_mask_gradient_is_exact():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    mask = np.array([True, False, True, True, False])
+    w = rng.normal(size=(3, 3))
+    (x[mask] * Tensor(w)).sum().backward()
+    expected = np.zeros((5, 3))
+    expected[mask] = w
+    assert np.array_equal(x.grad, expected)
+
+
 def test_deterministic_forward():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(5, 5))
