@@ -8,6 +8,7 @@ embedding stores) plus JSON configs and JSONL score records.  Exit codes:
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -50,7 +51,10 @@ from .har import (
 )
 from .motionsynth import (
     DEFAULT_CLASSES,
+    ByteReader,
+    DataError,
     DatasetSpec,
+    FormatError,
     build_vocabulary,
     generate_dataset,
     load_clips,
@@ -70,14 +74,6 @@ MODEL_DTYPE = np.float32
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DataError(ValueError):
-    pass
-
-
-class FormatError(DataError):
     pass
 
 
@@ -167,16 +163,23 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read_array(fh):
-    (nlen,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(nlen).decode()
-    (dlen,) = struct.unpack("<B", fh.read(1))
-    dtype = np.dtype(fh.read(dlen).decode())
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    arr = np.frombuffer(fh.read(n * dtype.itemsize), dtype=dtype).reshape(shape).copy()
-    return name, arr
+_U8, _U16, _U32 = struct.Struct("<B"), struct.Struct("<H"), struct.Struct("<I")
+
+
+def _read_array(r: ByteReader):
+    (nlen,) = r.unpack(_U16)
+    name = r.text(nlen)
+    (dlen,) = r.unpack(_U8)
+    dstr = r.text(dlen)
+    try:
+        dtype = np.dtype(dstr)
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.hasobject:
+        raise r.error(f"array {name!r} has no numeric dtype {dstr!r}")
+    (ndim,) = r.unpack(_U8)
+    shape = r.unpack(struct.Struct(f"<{ndim}I"))
+    return name, r.array(dtype, math.prod(shape)).reshape(shape)
 
 
 def _write_section(fh, arrays: dict) -> None:
@@ -185,9 +188,9 @@ def _write_section(fh, arrays: dict) -> None:
         _write_array(fh, name, np.asarray(arrays[name]))
 
 
-def _read_section(fh) -> dict:
-    (count,) = struct.unpack("<I", fh.read(4))
-    return dict(_read_array(fh) for _ in range(count))
+def _read_section(r: ByteReader) -> dict:
+    (count,) = r.unpack(_U32)
+    return dict(_read_array(r) for _ in range(count))
 
 
 @dataclass
@@ -215,19 +218,27 @@ def save_checkpoint(path, cfg: RunConfig, encoders: EncoderSet,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", fh.read(4))
-        cfg = RunConfig(**json.loads(fh.read(clen).decode()))
-        (epoch,) = struct.unpack("<I", fh.read(4))
-        params = _read_section(fh)
-        (t,) = struct.unpack("<I", fh.read(4))
-        opt_state = {"t": t, "m": _read_section(fh), "v": _read_section(fh)}
+    """Read a CKP1 file; a truncated or corrupt one raises `FormatError`."""
+    r = ByteReader(Path(path).read_bytes(), f"checkpoint {path}")
+    magic = r.bytes(4)
+    if magic != CKPT_MAGIC:
+        raise r.error(f"not a checkpoint file (magic {magic!r})", 0)
+    (version,) = r.unpack(_U16)
+    if version != CKPT_VERSION:
+        raise r.error(f"unsupported checkpoint version {version}", 4)
+    (clen,) = r.unpack(_U32)
+    off = r.off
+    blob = r.text(clen)
+    try:
+        cfg = RunConfig(**json.loads(blob))
+    except (ValueError, TypeError) as exc:
+        raise r.error(f"unreadable run configuration ({type(exc).__name__})", off) from None
+    (epoch,) = r.unpack(_U32)
+    params = _read_section(r)
+    (t,) = r.unpack(_U32)
+    opt_state = {"t": t, "m": _read_section(r), "v": _read_section(r)}
+    if not r.at_end():
+        raise r.error("trailing bytes after the last section")
     return Checkpoint(version=version, config=cfg, params=params,
                       opt_state=opt_state, epoch=epoch)
 
@@ -255,12 +266,13 @@ def restore_model(ckpt: Checkpoint):
 
 _MOD_TAG = {"pointcloud": 0, "imu": 1, "skeleton": 2, "text": 3}
 _TAG_MOD = {v: k for k, v in _MOD_TAG.items()}
+_STORE_HEADER = struct.Struct("<HII")
 
 
 def save_store(path, db: EmbeddingDatabase) -> None:
     e = db.Z.shape[1]
     with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC + struct.pack("<HII", STORE_VERSION, e, len(db.Z)))
+        fh.write(STORE_MAGIC + _STORE_HEADER.pack(STORE_VERSION, e, len(db.Z)))
         for i in range(len(db.Z)):
             fh.write(struct.pack("<IIBH", int(db.clip_ids[i]), int(db.starts[i]),
                                  _MOD_TAG[str(db.modalities[i])], int(db.class_ids[i])))
@@ -268,15 +280,17 @@ def save_store(path, db: EmbeddingDatabase) -> None:
 
 
 def load_store(path) -> EmbeddingDatabase:
-    data = Path(path).read_bytes()
-    if data[:4] != STORE_MAGIC:
-        raise FormatError(f"not an embedding store (magic {data[:4]!r})")
-    version, e, count = struct.unpack("<HII", data[4:14])
+    r = ByteReader(Path(path).read_bytes(), f"embedding store {path}")
+    magic = r.bytes(4)
+    if magic != STORE_MAGIC:
+        raise r.error(f"not an embedding store (magic {magic!r})", 0)
+    version, e, count = r.unpack(_STORE_HEADER)
     if version != STORE_VERSION:
-        raise FormatError(f"unsupported embedding store version {version}")
-    rec = 11 + 4 * e
+        raise r.error(f"unsupported embedding store version {version}", 4)
+    data, rec = r.data, 11 + 4 * e
     if len(data) != 14 + rec * count:
-        raise FormatError("embedding store record count does not match header")
+        raise r.error(f"{count} records of {e} floats need {14 + rec * count} bytes, "
+                      f"the file has {len(data)}")
     clip_ids, starts, mods, class_ids, Z = [], [], [], [], []
     off = 14
     for _ in range(count):
@@ -284,6 +298,8 @@ def load_store(path) -> EmbeddingDatabase:
         Z.append(np.frombuffer(data, dtype="<f4", count=e, offset=off + 11).copy())
         clip_ids.append(cid)
         starts.append(start)
+        if tag not in _TAG_MOD:
+            raise r.error(f"unknown modality tag {tag}", off)
         mods.append(_TAG_MOD[tag])
         class_ids.append(cls)
         off += rec
@@ -304,7 +320,10 @@ def _load_split(data_dir, split: str) -> list:
     path = Path(data_dir) / f"{split}.mmc"
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    return load_clips(path)
+    clips = load_clips(path)
+    if not clips:
+        raise DataError(f"dataset file holds no clips: {path}")
+    return clips
 
 
 def _dense_index(encoders, graph, clips, cfg: RunConfig, modalities=None):
@@ -357,10 +376,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, vars(args))
     graph = cfg.graph()
+    clips = _load_split(cfg.data, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out_dir)
-    clips = _load_split(cfg.data, "train")
     if graph.has_text and not any(c.tm for c in clips):
         print("warning: text loss requested but no clip carries text; L_text will be 0",
               file=sys.stderr)

@@ -240,16 +240,27 @@ def moment_retrieval_benchmark(index: dict, pairs, k_list=(1, 10, 20, 50),
 
 @dataclass
 class EmbeddingDatabase:
-    """In-memory embedding store with per-record metadata."""
+    """In-memory embedding store with per-record metadata.
+
+    `Z` is not mutated after construction: the float64 unit rows that
+    retrieval ranks against are computed on the first query and kept.
+    """
 
     Z: np.ndarray                       # (W, e)
     clip_ids: np.ndarray
     starts: np.ndarray
     class_ids: np.ndarray
     modalities: np.ndarray              # str per record
+    _unit: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return int(self.Z.shape[0])
+
+    def unit_rows(self) -> np.ndarray:
+        """`normalize_rows(Z)`, computed once; a zero-norm row raises here."""
+        if self._unit is None:
+            self._unit = normalize_rows(self.Z)
+        return self._unit
 
     @staticmethod
     def from_windows(windows: list, Z: np.ndarray, modality: str) -> "EmbeddingDatabase":
@@ -286,7 +297,7 @@ def db_retrieve(query: np.ndarray, db: EmbeddingDatabase, k: int) -> RetrievalRe
         raise ValueError("empty database")
     truncated = k > len(db)
     k_eff = min(k, len(db))
-    sims = normalize_rows(db.Z) @ normalize_rows(query[None])[0]
+    sims = db.unit_rows() @ normalize_rows(query[None])[0]
     order = np.argsort(-sims, kind="stable")[:k_eff]
     meta = [
         {"clip_id": int(db.clip_ids[i]), "start": int(db.starts[i]),

@@ -495,7 +495,63 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
 
 # -- serialization -------------------------------------------------------------
 
+
+class DataError(ValueError):
+    """Input data is missing or unusable."""
+
+
+class FormatError(DataError):
+    """A binary artifact (MMC1, CKP1, EMB1) is truncated or corrupt."""
+
+
+class ByteReader:
+    """Bounds-checked cursor over one file's bytes.
+
+    Every read checks that its bytes are there, and every field that does not
+    decode raises `FormatError` naming the file and the offset.
+    """
+
+    def __init__(self, data: bytes, name: str):
+        self.data, self.name, self.off = data, name, 0
+
+    def error(self, what: str, off: int | None = None) -> FormatError:
+        """A FormatError at `off`, by default the cursor's offset."""
+        return FormatError(f"{self.name} at offset {self.off if off is None else off}: {what}")
+
+    def at_end(self) -> bool:
+        return self.off >= len(self.data)
+
+    def _advance(self, n: int) -> int:
+        """Offset of the next n bytes, which the cursor then moves past."""
+        left = len(self.data) - self.off
+        if n > left:
+            raise self.error(f"truncated, {n} bytes needed, {left} left")
+        off, self.off = self.off, self.off + n
+        return off
+
+    def bytes(self, n: int) -> bytes:
+        off = self._advance(n)
+        return self.data[off : off + n]
+
+    def text(self, n: int) -> str:
+        off = self.off
+        raw = self.bytes(n)
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise self.error(f"undecodable text {raw[:16]!r}", off) from None
+
+    def unpack(self, st: struct.Struct) -> tuple:
+        return st.unpack_from(self.data, self._advance(st.size))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        off = self._advance(count * dtype.itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=off).copy()
+
+
 _HEADER = struct.Struct("<4sHIIHHHHB")
+_NTOK = struct.Struct("<H")
 
 
 def save_clips(path, clips: list) -> None:
@@ -508,33 +564,26 @@ def save_clips(path, clips: list) -> None:
             fh.write(np.ascontiguousarray(c.skeleton, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(c.pointcloud, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(c.imu, dtype="<f4").tobytes())
-            fh.write(struct.pack("<H", len(c.tokens)))
+            fh.write(_NTOK.pack(len(c.tokens)))
             fh.write(np.asarray(c.tokens, dtype="<u4").tobytes())
 
 
 def load_clips(path) -> list:
+    """Read an MMC1 file; a truncated or corrupt record raises `FormatError`."""
     clips = []
-    data = Path(path).read_bytes()
-    off = 0
-    while off < len(data):
-        magic, ver, clip_id, subject_id, class_id, L, N, C, tm = _HEADER.unpack_from(data, off)
+    r = ByteReader(Path(path).read_bytes(), f"clip file {path}")
+    while not r.at_end():
+        off = r.off
+        magic, ver, clip_id, subject_id, class_id, L, N, C, tm = r.unpack(_HEADER)
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r} at offset {off} in {path}")
+            raise r.error(f"bad magic {magic!r}", off)
         if ver != FORMAT_VERSION:
-            raise ValueError(f"unsupported clip format version {ver}")
-        off += _HEADER.size
-        def block(count):
-            nonlocal off
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).copy()
-            off += 4 * count
-            return arr
-        skel = block(L * NUM_JOINTS * 3).reshape(L, NUM_JOINTS, 3)
-        pc = block(L * N * 3).reshape(L, N, 3)
-        imu = block(L * C).reshape(L, C)
-        (ntok,) = struct.unpack_from("<H", data, off)
-        off += 2
-        tokens = np.frombuffer(data, dtype="<u4", count=ntok, offset=off).tolist()
-        off += 4 * ntok
+            raise r.error(f"unsupported clip format version {ver}", off)
+        skel = r.array("<f4", L * NUM_JOINTS * 3).reshape(L, NUM_JOINTS, 3)
+        pc = r.array("<f4", L * N * 3).reshape(L, N, 3)
+        imu = r.array("<f4", L * C).reshape(L, C)
+        (ntok,) = r.unpack(_NTOK)
+        tokens = r.array("<u4", ntok).tolist()
         clips.append(Clip(clip_id=clip_id, subject_id=subject_id, class_id=class_id,
                           skeleton=skel, pointcloud=pc, imu=imu, tm=bool(tm), tokens=tokens))
     return clips

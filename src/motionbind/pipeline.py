@@ -3,7 +3,9 @@ augmentation and batch assembly with text masks.
 
 Point clouds are downsampled per frame (greedy farthest-point selection,
 lowest-index tie-break), so windows can be sliced densely at stride 1
-without recomputing the subsampling.
+without recomputing the subsampling. All frames of a clip are sampled
+together on a coordinate-major (3, frames, points) copy of the cloud, whose
+per-step distance updates run in place on (frames, points) buffers.
 """
 
 from __future__ import annotations
@@ -58,17 +60,35 @@ def farthest_point_downsample(points: np.ndarray, k: int, start: int = 0) -> np.
 
 
 def _fps_indices(frames: np.ndarray, k: int, starts: np.ndarray) -> np.ndarray:
-    """Vectorized greedy FPS over a stack of frames (F, N, 3) -> (F, k) indices."""
+    """Vectorized greedy FPS over a stack of frames (F, N, 3) -> (F, k) indices.
+
+    The frames are laid out coordinate-major, (3, F, N), once per call; each
+    step then updates preallocated (F, N) buffers in place, summing the
+    squared coordinate differences x, y, z in that order.
+    """
     F, N, _ = frames.shape
     n_sel = min(k, N)
-    sel = np.zeros((F, n_sel), dtype=np.int64)
+    sel = np.empty((F, n_sel), dtype=np.int64)
     sel[:, 0] = starts
     rows = np.arange(F)
-    d = ((frames - frames[rows, starts][:, None]) ** 2).sum(-1)
+    X = np.ascontiguousarray(np.moveaxis(frames, 2, 0))
+    best, d, t = (np.empty(X.shape[1:], dtype=X.dtype) for _ in range(3))
+
+    def sq_dist(idx, out):
+        c = X[:, rows, idx, None]            # (3, F, 1) selected points
+        np.subtract(X[0], c[0], out=out)
+        np.multiply(out, out, out=out)
+        for j in range(1, len(X)):
+            np.subtract(X[j], c[j], out=t)
+            np.multiply(t, t, out=t)
+            np.add(out, t, out=out)
+        return out
+
+    sq_dist(sel[:, 0], best)
     for i in range(1, n_sel):
-        nxt = np.argmax(d, axis=1)   # first max = lowest index
+        nxt = np.argmax(best, axis=1)   # first max = lowest index
         sel[:, i] = nxt
-        d = np.minimum(d, ((frames - frames[rows, nxt][:, None]) ** 2).sum(-1))
+        np.minimum(best, sq_dist(nxt, d), out=best)
     if k > N:
         sel = sel[:, np.arange(k) % N]
     return sel

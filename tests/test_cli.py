@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,97 @@ def test_missing_dataset_exits_3(tmp_path):
     rc = main(["train", "--out", str(tmp_path / "r"), "--data",
                str(tmp_path / "nowhere"), "--variant", "DeSIE", "--epochs", "1"])
     assert rc == 3
+
+
+# -- corrupt artifacts ---------------------------------------------------------
+
+
+def mmc_cuts(raw):
+    """Truncation points in an MMC1 file, from its first record's header."""
+    L, N, C = struct.unpack_from("<HHH", raw, 16)
+    header = 23                                  # "<4sHIIHHHHB"
+    pc = header + 4 * L * 24 * 3
+    imu = pc + 4 * L * N * 3
+    ntok = imu + 4 * L * C
+    (n,) = struct.unpack_from("<H", raw, ntok)
+    record2 = ntok + 2 + 4 * n
+    return {"empty": 0, "header": 10, "skeleton": header, "pointcloud": pc,
+            "pointcloud-mid": (pc + imu) // 2, "imu": imu, "token-count": ntok,
+            "token-count-mid": ntok + 1, "record-2-header": record2 + 10,
+            "record-2-pointcloud": record2 + pc}
+
+
+def ckp_cuts(raw, ckpt):
+    """Truncation points in a CKP1 file, at each section start and inside;
+    "dtype" is where the first array's dtype string starts."""
+    def section(arrays):
+        return 4 + sum(2 + len(k.encode()) + 1 + len(v.dtype.str) + 1 + 4 * v.ndim + v.nbytes
+                       for k, v in arrays.items())
+
+    (clen,) = struct.unpack_from("<I", raw, 6)
+    params = 14 + clen
+    t = params + section(ckpt.params)
+    m = t + 4
+    v = m + section(ckpt.opt_state["m"])
+    assert v + section(ckpt.opt_state["v"]) == len(raw)  # the layout is read right
+    (nlen,) = struct.unpack_from("<H", raw, params + 4)
+    return {"empty": 0, "magic": 2, "version": 4, "config-length": 6, "config": 10,
+            "config-mid": 10 + clen // 2, "epoch": 10 + clen, "params": params,
+            "dtype": params + 4 + 2 + nlen + 1, "params-mid": (params + t) // 2,
+            "adam-t": t, "adam-m": m, "adam-v": v, "last-byte": len(raw) - 1}
+
+
+CORRUPT_CASES = (
+    [("mmc", c) for c in ["bad-magic", "wrong-version", "empty", "header", "skeleton",
+                          "pointcloud", "pointcloud-mid", "imu", "token-count",
+                          "token-count-mid", "record-2-header", "record-2-pointcloud"]]
+    + [("ckp", c) for c in ["bad-magic", "wrong-version", "bad-config", "bad-dtype",
+                            "empty", "magic", "version",
+                            "config-length", "config", "config-mid", "epoch", "params",
+                            "params-mid", "adam-t", "adam-m", "adam-v", "last-byte"]])
+
+
+@pytest.mark.parametrize("fmt, case", CORRUPT_CASES, ids=[f"{f}-{c}" for f, c in CORRUPT_CASES])
+def test_corrupt_artifact_exits_3(fmt, case, dataset, trained, tmp_path, capsys, monkeypatch):
+    """`train --data` on a corrupt MMC1 file and `embed --checkpoint` on a
+    corrupt CKP1 file each end in one line on stderr, exit 3 and no output."""
+    src, work = tmp_path / "in", tmp_path / "work"
+    src.mkdir()
+    work.mkdir()
+    if fmt == "mmc":
+        raw = (dataset / "train.mmc").read_bytes()
+        cuts = mmc_cuts(raw)
+        bad = src / "train.mmc"
+        argv = ["train", "--data", str(src), "--out", "run", "--variant", "DeSIE",
+                "--epochs", "1", "--quiet"]
+    else:
+        raw = (trained / "model.ckpt").read_bytes()
+        cuts = ckp_cuts(raw, load_checkpoint(trained / "model.ckpt"))
+        bad = src / "model.ckpt"
+        argv = ["embed", "--checkpoint", str(bad), "--data", str(dataset),
+                "--modality", "imu", "--out", "x.emb"]
+    if case == "bad-magic":
+        bad.write_bytes(b"NOPE" + raw[4:])
+    elif case == "wrong-version":
+        bad.write_bytes(raw[:4] + struct.pack("<H", 99) + raw[6:])
+    elif case in ("bad-config", "bad-dtype"):
+        at, junk = {"bad-config": (cuts["config"], b"["),
+                    "bad-dtype": (cuts["dtype"], b"|O8")}[case]
+        bad.write_bytes(raw[:at] + junk + raw[at + len(junk):])
+    else:
+        bad.write_bytes(raw[:cuts[case]])
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    word = {"bad-magic": "magic", "wrong-version": "version", "bad-config": "configuration",
+            "bad-dtype": "dtype"}.get(case, "truncated")
+    if (fmt, case) == ("mmc", "empty"):
+        word = "no clips"
+    assert word in err
+    assert not list(work.iterdir())  # nothing written
 
 
 def test_bad_variant_exits_2(tmp_path, dataset):

@@ -19,6 +19,7 @@ from motionbind.evalkit import (
     match_scene,
     matching_benchmark,
     moment_retrieval,
+    normalize_rows,
     text_retrieval,
     write_records,
 )
@@ -276,6 +277,43 @@ def test_db_truncation_flagged():
     db = make_db(n=4)
     res = db_retrieve(np.ones(8), db, k=10)
     assert res.truncated and len(res.indices) == 4
+
+
+def test_db_retrieve_cache_equals_uncached_formula(tmp_path):
+    from motionbind.cli import load_store, save_store
+
+    def uncached(q, db, k):
+        sims = normalize_rows(db.Z) @ normalize_rows(q[None])[0]
+        order = np.argsort(-sims, kind="stable")[:k]
+        return order, sims[order]
+
+    def same(res, q, db, k):
+        idx, scores = uncached(q, db, k)
+        return np.array_equal(res.indices, idx) and res.scores.tobytes() == scores.tobytes()
+
+    rng = np.random.default_rng(3)
+    a, b = make_db(n=40, seed=1), make_db(n=40, seed=2)
+    for q in rng.normal(size=(6, 8)).astype(np.float32):   # the first fills the cache
+        assert same(db_retrieve(q, a, k=7), q, a, 7)
+
+    # a store reloaded from the same path ranks its own rows
+    q = rng.normal(size=8).astype(np.float32)
+    save_store(tmp_path / "s.emb", a)
+    first = load_store(tmp_path / "s.emb")
+    assert same(db_retrieve(q, first, k=5), q, first, 5)
+    save_store(tmp_path / "s.emb", b)
+    second = load_store(tmp_path / "s.emb")
+    assert same(db_retrieve(q, second, k=5), q, second, 5)
+    assert not same(db_retrieve(q, first, k=5), q, second, 5)
+
+
+def test_db_retrieve_zero_norm_store_fails_at_query():
+    db = make_db(n=5)
+    db.Z[2] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        db_retrieve(np.ones(8), db, k=2)
+    with pytest.raises(ValueError, match="zero-norm"):   # and again: no half-filled cache
+        db_retrieve(np.ones(8), db, k=2)
 
 
 def test_class_retrieval_rate_perfect_when_clustered():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from motionbind.pipeline import (
     BatchLoader,
     Window,
     WindowSpec,
+    _fps_indices,
     augment_window,
     center_window,
     downsample_clip,
@@ -100,6 +103,81 @@ def test_fps_greedy_property_every_step():
         assert dist[chosen[i]] == dist.max()
 
 
+def parent_fps_indices(frames, k, starts):
+    """The earlier point-major formula, ((frames - c) ** 2).sum(-1) per step."""
+    F, N, _ = frames.shape
+    sel = np.zeros((F, min(k, N)), dtype=np.int64)
+    sel[:, 0] = starts
+    rows = np.arange(F)
+    d = ((frames - frames[rows, starts][:, None]) ** 2).sum(-1)
+    for i in range(1, sel.shape[1]):
+        sel[:, i] = np.argmax(d, axis=1)
+        d = np.minimum(d, ((frames - frames[rows, sel[:, i]][:, None]) ** 2).sum(-1))
+    return sel[:, np.arange(k) % N]
+
+
+def first_index_of(frames, points):
+    """Per frame, the lowest index whose point equals points[f] -> (F,)."""
+    return np.argmax((frames == points[:, None]).all(-1), axis=1)
+
+
+def clip_at(dtype, n_raw=256, length=48):
+    clip = clip_for(n_raw=n_raw, length=length)
+    return replace(clip, pointcloud=clip.pointcloud.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_downsample_clip_random_starts_match_per_frame_oracle(dtype):
+    clip = clip_at(dtype, n_raw=96, length=30)
+    out = downsample_clip(clip, 24, seed=17).pointcloud
+    assert out.dtype == dtype
+    starts = first_index_of(clip.pointcloud, out[:, 0])
+    assert len(set(starts.tolist())) > 1          # the frames start apart
+    for f, start in enumerate(starts):
+        want = brute_force_fps(clip.pointcloud[f], 24, start=int(start))
+        assert np.array_equal(out[f], want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fps_duplicated_points_route_ties_to_lowest_index(dtype):
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=(5, 20, 3))
+    frames = np.concatenate([base, base, base[:, :7]], axis=1).astype(dtype)
+    starts = rng.integers(0, 20, size=5)
+    idx = _fps_indices(frames, 20, starts)
+    assert (idx < 20).all()                       # never a later copy
+    idx = _fps_indices(frames, 30, starts)        # beyond the distinct points
+    for f in range(5):
+        want = brute_force_fps(frames[f], 30, start=int(starts[f]))
+        assert np.array_equal(frames[f][idx[f]], want)
+    assert np.array_equal(idx, parent_fps_indices(frames, 30, starts))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fps_pads_cyclically_across_frames(dtype):
+    rng = np.random.default_rng(5)
+    frames = rng.normal(size=(4, 6, 3)).astype(dtype)
+    starts = np.array([0, 5, 2, 3])
+    idx = _fps_indices(frames, 15, starts)
+    assert idx.shape == (4, 15)
+    assert np.array_equal(idx, idx[:, np.arange(15) % 6])
+    assert all(sorted(row[:6]) == list(range(6)) for row in idx)
+    clip = clip_at(dtype, n_raw=6, length=24)
+    out = downsample_clip(clip, 15, seed=2).pointcloud
+    assert np.array_equal(out, out[:, np.arange(15) % 6])
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_downsample_clip_float32_bytes_equal_parent_formula(seed):
+    clip = clip_at(np.float32)
+    pc = clip.pointcloud
+    out = downsample_clip(clip, 64, seed=seed).pointcloud
+    starts = first_index_of(pc, out[:, 0])
+    want = pc[np.arange(len(pc))[:, None], parent_fps_indices(pc, 64, starts)]
+    assert out.dtype == np.float32
+    assert out.tobytes() == want.tobytes()
+
+
 def test_downsample_clip_eval_deterministic():
     clip = clip_for()
     a = downsample_clip(clip, 32)
@@ -152,7 +230,6 @@ def test_center_window_idempotent_and_translation_invariant():
     once = center_window(w)
     twice = center_window(once)
     assert np.allclose(once.pointcloud, twice.pointcloud, atol=1e-6)
-    from dataclasses import replace
     shifted = replace(w, skeleton=w.skeleton + np.float32(5.0) * np.array([1, 0, 0], dtype=np.float32))
     assert np.allclose(center_window(shifted).skeleton, once.skeleton, atol=1e-5)
 
