@@ -31,13 +31,13 @@ from .encoders import EncoderConfig, EncoderSet
 from .evalkit import (
     EmbeddingDatabase,
     ProtocolError,
-    db_retrieve,
     embed_clips,
     encode_windows,
     format_table,
-    majority_same_class,
+    majority_class_rate,
     matching_benchmark,
     moment_retrieval_benchmark,
+    retrieve_batch,
     text_retrieval,
     write_records,
 )
@@ -55,6 +55,7 @@ from .motionsynth import (
     DataError,
     DatasetSpec,
     FormatError,
+    atomic_write,
     build_vocabulary,
     generate_dataset,
     load_clips,
@@ -144,7 +145,8 @@ def load_run_config(path, overrides: dict) -> RunConfig:
 
 def write_resolved_config(cfg: RunConfig, out_dir) -> Path:
     path = Path(out_dir) / "config.resolved.json"
-    path.write_text(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")
     return path
 
 
@@ -207,7 +209,7 @@ def save_checkpoint(path, cfg: RunConfig, encoders: EncoderSet,
     params = {k: v.data for k, v in encoders.params().items()}
     params["temperature.log_tau"] = temperature.log_tau.data
     blob = json.dumps(dataclasses.asdict(cfg)).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CKPT_MAGIC + struct.pack("<H", CKPT_VERSION))
         fh.write(struct.pack("<I", len(blob)) + blob)
         fh.write(struct.pack("<I", epoch))
@@ -271,7 +273,7 @@ _STORE_HEADER = struct.Struct("<HII")
 
 def save_store(path, db: EmbeddingDatabase) -> None:
     e = db.Z.shape[1]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(STORE_MAGIC + _STORE_HEADER.pack(STORE_VERSION, e, len(db.Z)))
         for i in range(len(db.Z)):
             fh.write(struct.pack("<IIBH", int(db.clip_ids[i]), int(db.starts[i]),
@@ -443,20 +445,21 @@ def cmd_moment(args) -> int:
 def cmd_retrieve(args) -> int:
     db = load_store(args.store)
     queries = load_store(args.query_store)
-    records, hits = [], 0
-    for i in range(len(queries.Z)):
-        res = db_retrieve(queries.Z[i], db, k=args.k)
-        hits += majority_same_class(db.class_ids[res.indices], queries.class_ids[i])
-        records.append({
-            "query_clip": int(queries.clip_ids[i]),
-            "query_start": int(queries.starts[i]),
-            "indices": res.indices.tolist(),
-            "scores": [float(s) for s in res.scores],
-            "truncated": res.truncated,
-            "metadata": res.metadata,
-        })
+    for path, store in ((args.store, db), (args.query_store, queries)):
+        if len(store) == 0:
+            raise DataError(f"embedding store {path} holds no records")
+    indices, scores = retrieve_batch(queries.Z, db, args.k)
+    records = [{
+        "query_clip": int(queries.clip_ids[i]),
+        "query_start": int(queries.starts[i]),
+        "indices": indices[i].tolist(),
+        "scores": scores[i].tolist(),
+        "truncated": args.k > len(db),
+        "metadata": db.metadata(indices[i]),
+    } for i in range(len(queries))]
     write_records(records, args.out)
-    print(f"majority-class retrieval rate @k={args.k}: {hits / len(queries.Z):.4f}")
+    rate = majority_class_rate(db.class_ids[indices], queries.class_ids)
+    print(f"majority-class retrieval rate @k={args.k}: {rate:.4f}")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .motionsynth import splitmix64
+from .motionsynth import atomic_write, splitmix64
 from .pipeline import Window, make_batch
 
 
@@ -24,6 +24,44 @@ def normalize_rows(Z: np.ndarray) -> np.ndarray:
     if np.any(norms == 0):
         raise ValueError("zero-norm embedding")
     return Z / norms
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k best scores -> (rows, k), best first,
+    the lower index first on ties.
+
+    Equals `np.argsort(-scores, axis=1, kind="stable")[:, :k]`.
+    `argpartition` picks k candidates per row and only those are sorted; a
+    row whose k-th score recurs past the boundary (or that holds NaN) takes
+    the stable sort instead.
+    """
+    neg = -scores
+    if not 0 < k < neg.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(neg))[:, None]
+    cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    cand.sort(axis=1)
+    vals = neg[rows, cand]
+    order = vals.argsort(axis=1, kind="stable")
+    top = cand[rows, order]
+    tied = np.count_nonzero(neg <= vals[rows, order[:, -1:]], axis=1) != k
+    if tied.any():
+        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return top
+
+
+@dataclass
+class _UnitRows:
+    """Float64 unit rows of `Z`, computed on the first call and kept, so `Z`
+    must not be mutated after construction. A zero-norm row raises
+    `ValueError` on every call."""
+
+    _unit: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def unit_rows(self) -> np.ndarray:
+        if self._unit is None:
+            self._unit = normalize_rows(self.Z)
+        return self._unit
 
 
 class ProtocolError(ValueError):
@@ -46,7 +84,7 @@ def encode_windows(encoder, modality: str, windows: list, prehead: bool = False)
 
 
 @dataclass
-class ClipEmbeddings:
+class ClipEmbeddings(_UnitRows):
     """Stride-1 window embeddings of one clip for one modality."""
 
     clip_id: int
@@ -192,6 +230,31 @@ def matching_benchmark(index: dict, pairs, n_list, scenes: int = 1000,
 # -- Task 2: temporal moment retrieval -----------------------------------------
 
 
+def _moment_recall(Uq: np.ndarray, starts_q: np.ndarray,
+                   Ut: np.ndarray, starts_t: np.ndarray, k_list, tol: int) -> dict:
+    """`moment_retrieval` on unit rows, by counting instead of sorting.
+
+    In the stable descending order of a query's similarities, its first hit
+    is its best eligible target (start within `tol`, the lower index on
+    ties), and that target's rank is the number of targets scoring higher
+    plus the equal-scoring ones at a lower index. The query is found at k
+    when the rank is below k; a query with no eligible target never is.
+    """
+    k_list = sorted(k_list)
+    W = len(starts_t)
+    if k_list[-1] > W:
+        raise ValueError(f"k={k_list[-1]} exceeds {W} target windows")
+    S = Uq @ Ut.T
+    starts_t, starts_q = np.asarray(starts_t), np.asarray(starts_q)[:, None]
+    near = (starts_t >= starts_q - tol) & (starts_t <= starts_q + tol)
+    best = np.argmax(np.where(near, S, -np.inf), axis=1)[:, None]
+    s_best = np.take_along_axis(S, best, axis=1)
+    ahead = S > s_best
+    ahead |= (S == s_best) & (np.arange(W) < best)
+    rank = np.where(near.any(axis=1), np.count_nonzero(ahead, axis=1), W)
+    return {k: float(np.mean(rank < k)) for k in k_list}
+
+
 def moment_retrieval(Zq: np.ndarray, starts_q: np.ndarray,
                      Zt: np.ndarray, starts_t: np.ndarray,
                      k_list=(1, 10, 20, 50), tol: int = 10) -> dict:
@@ -201,13 +264,8 @@ def moment_retrieval(Zq: np.ndarray, starts_q: np.ndarray,
     windows starts within `tol` frames of the query start. Ties rank the
     lower candidate index first.
     """
-    k_list = sorted(k_list)
-    if k_list[-1] > len(starts_t):
-        raise ValueError(f"k={k_list[-1]} exceeds {len(starts_t)} target windows")
-    sims = normalize_rows(Zq) @ normalize_rows(Zt).T
-    order = np.argsort(-sims, axis=1, kind="stable")
-    hit = np.abs(starts_t[order] - np.asarray(starts_q)[:, None]) <= tol
-    return {k: float(hit[:, :k].any(axis=1).mean()) for k in k_list}
+    return _moment_recall(normalize_rows(Zq), starts_q, normalize_rows(Zt), starts_t,
+                          k_list, tol)
 
 
 def moment_retrieval_benchmark(index: dict, pairs, k_list=(1, 10, 20, 50),
@@ -220,7 +278,8 @@ def moment_retrieval_benchmark(index: dict, pairs, k_list=(1, 10, 20, 50),
             ea, eb = index[a][cid], index[b][cid]
             if len(eb.starts) < max(k_list):
                 continue
-            rec = moment_retrieval(ea.Z, ea.starts, eb.Z, eb.starts, k_list, tol)
+            rec = _moment_recall(ea.unit_rows(), ea.starts, eb.unit_rows(), eb.starts,
+                                 k_list, tol)
             for k, v in rec.items():
                 per_seq[k].append(v)
         if not per_seq[max(k_list)]:
@@ -239,28 +298,25 @@ def moment_retrieval_benchmark(index: dict, pairs, k_list=(1, 10, 20, 50),
 
 
 @dataclass
-class EmbeddingDatabase:
-    """In-memory embedding store with per-record metadata.
-
-    `Z` is not mutated after construction: the float64 unit rows that
-    retrieval ranks against are computed on the first query and kept.
-    """
+class EmbeddingDatabase(_UnitRows):
+    """In-memory embedding store with per-record metadata; retrieval ranks
+    against its `unit_rows()`."""
 
     Z: np.ndarray                       # (W, e)
     clip_ids: np.ndarray
     starts: np.ndarray
     class_ids: np.ndarray
     modalities: np.ndarray              # str per record
-    _unit: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return int(self.Z.shape[0])
 
-    def unit_rows(self) -> np.ndarray:
-        """`normalize_rows(Z)`, computed once; a zero-norm row raises here."""
-        if self._unit is None:
-            self._unit = normalize_rows(self.Z)
-        return self._unit
+    def metadata(self, indices: np.ndarray) -> list:
+        """One dict of Python scalars per record index."""
+        rows = zip(self.clip_ids[indices].tolist(), self.starts[indices].tolist(),
+                   self.class_ids[indices].tolist(), self.modalities[indices].tolist())
+        return [{"clip_id": c, "start": s, "class_id": k, "modality": m}
+                for c, s, k, m in rows]
 
     @staticmethod
     def from_windows(windows: list, Z: np.ndarray, modality: str) -> "EmbeddingDatabase":
@@ -295,48 +351,54 @@ def db_retrieve(query: np.ndarray, db: EmbeddingDatabase, k: int) -> RetrievalRe
     """Top-k database entries by cosine similarity to the query embedding."""
     if len(db) == 0:
         raise ValueError("empty database")
-    truncated = k > len(db)
-    k_eff = min(k, len(db))
     sims = db.unit_rows() @ normalize_rows(query[None])[0]
-    order = np.argsort(-sims, kind="stable")[:k_eff]
-    meta = [
-        {"clip_id": int(db.clip_ids[i]), "start": int(db.starts[i]),
-         "class_id": int(db.class_ids[i]), "modality": str(db.modalities[i])}
-        for i in order
-    ]
-    return RetrievalResult(indices=order, scores=sims[order], truncated=truncated, metadata=meta)
+    order = top_k(sims[None], min(k, len(db)))[0]
+    return RetrievalResult(indices=order, scores=sims[order], truncated=k > len(db),
+                           metadata=db.metadata(order))
 
 
-def majority_same_class(labels: np.ndarray, cls) -> bool:
-    """Whether more than half of the retrieved labels equal the query's class."""
-    return bool((labels == cls).sum() * 2 > len(labels))
+def retrieve_batch(queries: np.ndarray, db: EmbeddingDatabase, k: int):
+    """Top-min(k, len(db)) entries per query row -> (indices, scores), each
+    (Q, min(k, len(db))). Queries are scored in EMBED_BATCH blocks, one
+    float64 product per block."""
+    if len(db) == 0:
+        raise ValueError("empty database")
+    U, k = db.unit_rows(), min(k, len(db))
+    indices, scores = [np.empty((0, k), dtype=np.intp)], [np.empty((0, k))]
+    for i in range(0, len(queries), EMBED_BATCH):
+        S = normalize_rows(queries[i : i + EMBED_BATCH]) @ U.T
+        indices.append(top_k(S, k))
+        scores.append(np.take_along_axis(S, indices[-1], axis=1))
+    return np.concatenate(indices), np.concatenate(scores)
+
+
+def majority_class_rate(labels: np.ndarray, classes) -> float:
+    """Fraction of rows of retrieved labels (Q, k) in which more than half
+    equal that row's query class."""
+    same = np.count_nonzero(labels == np.asarray(classes)[:, None], axis=1)
+    return float(np.mean(same * 2 > labels.shape[1]))
 
 
 def class_retrieval_rate(queries: np.ndarray, query_classes: np.ndarray,
                          db: EmbeddingDatabase, k: int = 10) -> float:
     """Fraction of queries whose top-k retrievals are majority same-class."""
-    hits = sum(majority_same_class(db.class_ids[db_retrieve(q, db, k).indices], cls)
-               for q, cls in zip(queries, query_classes))
-    return hits / len(queries)
+    indices, _ = retrieve_batch(queries, db, k)
+    return majority_class_rate(db.class_ids[indices], query_classes)
 
 
 def text_retrieval(queries: list, text_embedder, db: EmbeddingDatabase, k: int = 1) -> float:
     """R-Top-1-style score: fraction of (tokens, class_id) queries whose
     top-ranked retrieval carries the matching class label."""
-    correct = 0
-    for tokens, class_id in queries:
-        z = text_embedder.embed(tokens)
-        res = db_retrieve(z, db, k)
-        if int(db.class_ids[res.indices[0]]) == int(class_id):
-            correct += 1
-    return correct / len(queries)
+    Z = np.stack([text_embedder.embed(tokens) for tokens, _ in queries])
+    indices, _ = retrieve_batch(Z, db, k)
+    return float(np.mean(db.class_ids[indices[:, 0]] == [int(c) for _, c in queries]))
 
 
 # -- score emission ------------------------------------------------------------
 
 
 def write_records(records: list, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         for r in records:
             fh.write(json.dumps(r) + "\n")
 

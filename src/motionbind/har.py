@@ -146,7 +146,7 @@ def _sgd_epochs(params: dict, batch_loss, n: int, sched: FinetuneSchedule, seed:
 
 def _accuracy(head: ClassifierHead, X: np.ndarray, windows: list, classes: list) -> float:
     """Segment accuracy of the head's argmax class on feature rows X."""
-    pred_idx = np.argmax(head(Tensor(X.astype(np.float64))).data, axis=1)
+    pred_idx = np.argmax(head(Tensor(X)).data, axis=1)
     pred = np.array([classes[i].id for i in pred_idx])
     return segment_accuracy(pred, np.array([w.class_id for w in windows]))
 
@@ -163,7 +163,7 @@ def probe_train(encoder, modality: str, head: ClassifierHead,
     ytr = _label_index(train_windows, classes)
 
     def batch_loss(idx):
-        return cross_entropy(head(Tensor(Xtr[idx].astype(np.float64))), ytr[idx])
+        return cross_entropy(head(Tensor(Xtr[idx])), ytr[idx])
 
     metrics = _sgd_epochs(head.params(), batch_loss, len(Xtr), sched, seed, log, "probe")
     if params_digest(encoder) != digest_before:

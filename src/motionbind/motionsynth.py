@@ -9,7 +9,9 @@ are exactly coupled. Clips are serialized as fixed-layout binary records.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -489,7 +491,8 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
         "imu_channels": IMU_CHANNELS,
         "fps": FPS,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    with atomic_write(out_dir / "manifest.json", "w") as fh:
+        fh.write(json.dumps(manifest, indent=2))
     return manifest
 
 
@@ -502,6 +505,22 @@ class DataError(ValueError):
 
 class FormatError(DataError):
     """A binary artifact (MMC1, CKP1, EMB1) is truncated or corrupt."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temporary file beside `path` for writing; it replaces `path`
+    only once the block completes, and is removed if the block raises, so
+    readers see the old file or the new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ByteReader:
@@ -555,7 +574,7 @@ _NTOK = struct.Struct("<H")
 
 
 def save_clips(path, clips: list) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         for c in clips:
             L, N = c.skeleton.shape[0], c.pointcloud.shape[1]
             C = c.imu.shape[1]

@@ -10,7 +10,7 @@ which keeps the backward rules auditable.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "precision",
-    "concat",
     "finite_diff_grad",
     "sigmoid_array",
 ]
@@ -241,15 +240,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, p: float):
-        a = self
-        p = float(p)
-
-        def bw(g):
-            return (g * p * a.data ** (p - 1),)
-
-        return Tensor.from_op(a.data**p, (a,), bw, "pow")
-
     def __matmul__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -270,20 +260,6 @@ class Tensor:
         out_data = np.exp(a.data)
         return Tensor.from_op(out_data, (a,), lambda g: (g * out_data,), "exp")
 
-    def log(self):
-        a = self
-        return Tensor.from_op(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-        return Tensor.from_op(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),), "tanh")
-
-    def sigmoid(self):
-        a = self
-        out_data = sigmoid_array(a.data)
-        return Tensor.from_op(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),), "sigmoid")
-
     def relu(self):
         a = self
         mask = a.data > 0
@@ -292,15 +268,6 @@ class Tensor:
             return (g * mask,)
 
         return Tensor.from_op(np.maximum(a.data, 0), (a,), bw, "relu")
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bw(g):
-            return (g * 0.5 / out_data,)
-
-        return Tensor.from_op(out_data, (a,), bw, "sqrt")
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient passes through only where unclamped."""
@@ -328,19 +295,6 @@ class Tensor:
         n = self.data.size if axis is None else self.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
-    def max(self, axis: int):
-        """Max-reduce; backward routes gradient to the first (lowest-index) argmax."""
-        a = self
-        idx = np.argmax(a.data, axis=axis)
-        out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-
-        def bw(g):
-            ga = np.zeros_like(a.data)
-            np.put_along_axis(ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-            return (ga,)
-
-        return Tensor.from_op(out_data, (a,), bw, "max")
-
     def logsumexp(self, axis: int):
         a = self
         m = np.max(a.data, axis=axis, keepdims=True)
@@ -353,18 +307,6 @@ class Tensor:
             return (np.expand_dims(g, axis) * soft,)
 
         return Tensor.from_op(out_data, (a,), bw, "logsumexp")
-
-    def softmax(self, axis: int = -1):
-        a = self
-        m = np.max(a.data, axis=axis, keepdims=True)
-        e = np.exp(a.data - m)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def bw(g):
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            return (out_data * (g - dot),)
-
-        return Tensor.from_op(out_data, (a,), bw, "softmax")
 
     def l2_normalize(self, axis: int = -1, eps: float = 1e-12):
         a = self
@@ -433,22 +375,6 @@ def _may_repeat(key) -> bool:
         if np.asarray(k).dtype != bool:
             return True
     return False
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat of empty tensor list")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return Tensor.from_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw, "concat")
 
 
 def finite_diff_grad(

@@ -257,6 +257,30 @@ def test_retrieve_prints_class_retrieval_rate(dataset, trained, tmp_path, capsys
     assert printed == f"{class_retrieval_rate(db.Z, db.class_ids, db, k=5):.4f}"
 
 
+def test_retrieve_from_an_empty_store_exits_3(tmp_path, capsys):
+    empty = EmbeddingDatabase(np.zeros((0, 4), np.float32), np.zeros(0, int), np.zeros(0, int),
+                              np.zeros(0, int), np.array([], dtype=str))
+    save_store(tmp_path / "empty.emb", empty)
+    assert main(["retrieve", "--store", str(tmp_path / "empty.emb"), "--query-store",
+                 str(tmp_path / "empty.emb"), "--out", str(tmp_path / "r.jsonl")]) == 3
+    assert "holds no records" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_failed_write_leaves_earlier_artifact_untouched(tmp_path):
+    rng = np.random.default_rng(4)
+    db = EmbeddingDatabase(rng.normal(size=(6, 4)).astype(np.float32), np.arange(6),
+                           np.arange(6), np.ones(6, int), np.array(["imu"] * 6))
+    path = tmp_path / "s.emb"
+    save_store(path, db)
+    before = path.read_bytes()
+    db.modalities[4] = "xyz"   # no EMB1 tag: the second write fails at record 4
+    with pytest.raises(KeyError):
+        save_store(path, db)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.emb"]
+
+
 @pytest.mark.parametrize("command, flags", [
     ("embed", ["--modality", "imu", "--out", "x.emb"]),
     ("match", ["--n", "2", "--scenes", "2", "--out", "m.jsonl"]),

@@ -131,7 +131,8 @@ def test_projection_head_gradient_matches_finite_differences(rng):
     params = list(head.params().values())
 
     def loss():
-        return (head(Tensor(x)) ** 2.0).sum()
+        y = head(Tensor(x))
+        return (y * y).sum()
 
     loss().backward()
     fd = finite_diff_grad(loss, params, eps=1e-5)

@@ -19,8 +19,11 @@ from motionbind.evalkit import (
     match_scene,
     matching_benchmark,
     moment_retrieval,
+    moment_retrieval_benchmark,
     normalize_rows,
+    retrieve_batch,
     text_retrieval,
+    top_k,
     write_records,
 )
 from motionbind.motionsynth import DEFAULT_CLASSES, make_clip
@@ -244,6 +247,88 @@ def test_moment_topk_sets_nested():
             assert set(row[:k1]) <= set(row[:k2])
 
 
+def sorted_moment_recall(Zq, starts_q, Zt, starts_t, k_list, tol):
+    """The earlier formula: a full stable argsort of every query's similarities."""
+    def unit(Z):
+        Z = np.asarray(Z, dtype=np.float64)
+        return Z / np.linalg.norm(Z, axis=-1, keepdims=True)
+
+    order = np.argsort(-(unit(Zq) @ unit(Zt).T), axis=1, kind="stable")
+    hit = np.abs(np.asarray(starts_t)[order] - np.asarray(starts_q)[:, None]) <= tol
+    return {k: float(hit[:, :k].any(axis=1).mean()) for k in k_list}
+
+
+def tied_rows(rng, n, e=6, dtype=np.float64):
+    """Rows of a few small integers: many exact duplicates, never all zero."""
+    Z = rng.integers(-1, 2, size=(n, e)).astype(dtype)
+    Z[:, 0] = rng.integers(1, 3, size=n)
+    return Z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_moment_recall_counts_equal_sorted_ranks(dtype):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        Q, W = rng.integers(1, 40), rng.integers(1, 40)
+        if trial % 2:
+            Zq, Zt = tied_rows(rng, Q, dtype=dtype), tied_rows(rng, W, dtype=dtype)
+        else:
+            Zq, Zt = (rng.normal(size=(n, 5)).astype(dtype) for n in (Q, W))
+        starts_t = rng.permutation(W) * 2
+        # some queries start far from every target and have no eligible one
+        starts_q = np.where(rng.random(Q) < 0.2, 10_000, rng.integers(0, 2 * W, size=Q))
+        tol = int(rng.integers(0, 4))
+        k_list = sorted({1, int(rng.integers(1, W + 1)), int(W)})
+        got = moment_retrieval(Zq, starts_q, Zt, starts_t, k_list, tol)
+        assert got == sorted_moment_recall(Zq, starts_q, Zt, starts_t, k_list, tol)
+
+
+def test_moment_query_without_eligible_target_misses_at_every_k():
+    Z = np.eye(4)
+    rec = moment_retrieval(Z, np.array([0, 1, 2, 99]), Z, np.arange(4), k_list=(1, 4), tol=0)
+    assert rec == {1: 0.75, 4: 0.75}
+
+
+def test_moment_tie_ranks_lower_index_first():
+    # every target ties; the only eligible one sits at index 2, so it ranks third
+    Zq, Zt = np.ones((1, 3)), np.ones((3, 3))
+    rec = moment_retrieval(Zq, np.array([5]), Zt, np.array([0, 1, 5]), k_list=(2, 3), tol=0)
+    assert rec == {2: 0.0, 3: 1.0}
+
+
+def test_moment_benchmark_uses_cached_unit_rows_and_zero_norm_raises_every_call():
+    rng = np.random.default_rng(13)
+    index = random_index(n_clips=3, n_windows=12, e=4)
+    pairs = [("imu", "pointcloud")]
+    first = moment_retrieval_benchmark(index, pairs, k_list=(1, 5), tol=1)
+    for e in index["imu"].values():
+        assert e.unit_rows() is e.unit_rows()
+    assert moment_retrieval_benchmark(index, pairs, k_list=(1, 5), tol=1) == first
+    bad = ClipEmbeddings(0, np.arange(3), rng.normal(size=(3, 4)))
+    bad.Z[1] = 0.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero-norm"):
+            bad.unit_rows()
+    index["pointcloud"][0] = bad
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero-norm"):
+            moment_retrieval_benchmark(index, pairs, k_list=(1,), tol=1)
+
+
+def test_top_k_equals_stable_argsort_prefix():
+    rng = np.random.default_rng(14)
+    smooth = rng.normal(size=(20, 30))
+    rounded = rng.integers(0, 4, size=(20, 30)).astype(float)
+    S = np.concatenate([smooth, rounded])
+    for k in range(0, 32):
+        expected = np.argsort(-S, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(top_k(S, k), expected), k
+    # at k=5 some rounded rows tie across the boundary (the stable-sort
+    # fallback) and no smooth row does (the partition path)
+    tied = np.count_nonzero(-S <= np.sort(-S, axis=1)[:, 4:5], axis=1) > 5
+    assert not tied[:20].any() and tied[20:].any()
+
+
 # -- database retrieval --------------------------------------------------------
 
 
@@ -324,6 +409,38 @@ def test_class_retrieval_rate_perfect_when_clustered():
     db.Z = Z
     rate = class_retrieval_rate(Z[:4], db.class_ids[:4], db, k=5)
     assert rate == 1.0
+
+
+def half_rows(rng, n, e=8):
+    """Unit rows of four entries +-0.5: every cosine is exact in any summation
+    order, so a block product and a one-query product agree to the bit, ties
+    included."""
+    Z = np.zeros((n, e))
+    for row in Z:
+        row[rng.choice(e, size=4, replace=False)] = rng.choice([-0.5, 0.5], size=4)
+    return Z
+
+
+def test_class_retrieval_rate_equals_per_query_majority(monkeypatch):
+    from motionbind import evalkit
+    monkeypatch.setattr(evalkit, "EMBED_BATCH", 4)   # 11 queries: blocks of 4, 4 and 3
+    rng = np.random.default_rng(15)
+    db = make_db(n=9, classes=(1, 2, 3), seed=3)
+    db.Z = half_rows(rng, 9)
+    Q = half_rows(rng, 11).astype(np.float32)
+    classes = rng.integers(1, 4, size=11)
+    S = Q.astype(np.float64) @ db.Z.T
+    for k in (1, 2, 3, 5, 9, 12):
+        indices, scores = retrieve_batch(Q, db, k)
+        n = min(k, len(db))
+        expected = np.argsort(-S, axis=1, kind="stable")[:, :n]
+        assert np.array_equal(indices, expected)
+        assert np.array_equal(scores, np.take_along_axis(S, expected, axis=1))
+        majority = [np.count_nonzero(db.class_ids[row] == c) * 2 > n
+                    for row, c in zip(expected, classes)]
+        assert class_retrieval_rate(Q, classes, db, k=k) == np.mean(majority)
+        for q, row in zip(Q, indices):
+            assert np.array_equal(db_retrieve(q, db, k).indices, row)
 
 
 # -- text retrieval ------------------------------------------------------------
